@@ -5,12 +5,14 @@ of exact rationals (one row per settings pair in the canonical chained
 order, columns ``++ +0 0+ 00``), and provides:
 
 * polytope membership checks and violation diagnostics,
-* the CHSH facet machinery for n=2: the 8 symmetries, exact vertex
-  decompositions read off the matrix cells, the single-cell rewrites of
-  the quarter violation, and a variance-minimizing violation estimator,
-* the chained (n>=2) generalizations: functional values against
-  generalized PR boxes, one-mismatch decompositions and their tightness,
-  pairwise box merges and the replacement tables they generate,
+* one engine for every n >= 2, n=2 included: functional values against
+  generalized PR boxes, identification of the violated box, exact
+  decompositions read off single matrix cells and their tightness, and
+  the pairwise box merges and mismatch replacements,
+* the n=2 catalog on top of it: the paper's numbering of the 24
+  vertices, the 8 CHSH symmetries, the replacement tables derived from
+  the general constructions, the single-cell rewrites of the quarter
+  violation, and a variance-minimizing violation estimator,
 * distance measures to the local polytope (total variation exactly,
   Kullback-Leibler numerically) and a face projection,
 * detector-efficiency transforms with exact critical-threshold bisection,
@@ -32,13 +34,13 @@ from .chained import (
     is_local_chained,
     mismatch_replacement,
     one_support_mismatches,
+    readoff_weights,
     support_mismatch_count,
     tightness_witness,
 )
 from .chsh import (
     CASTOUT_TABLE,
     PAIR_TABLE,
-    READOFF_CELLS,
     SATURATING_SET_1,
     VARIANT_CELLS,
     ChshSymmetry,

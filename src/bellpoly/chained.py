@@ -8,7 +8,10 @@ functional summing a matrix's probability over ``g``'s zero cells plays
 the CHSH role: it is at least 1 on every local matrix and 0 on ``g``
 itself.  A matrix taking a value below 1 does so for exactly one box,
 and it decomposes as that box plus deterministic boxes whose weights sit
-in single matrix cells — the same read-off picture as for n=2.
+in single matrix cells.  This is the one engine for every n, n=2
+included: there the generalized PR boxes are the 8 catalog PR boxes and
+a chained value below 1 is a CHSH value above 2 (:mod:`bellpoly.chsh`
+only names the answers by catalog index).
 
 The deterministic boxes appearing in the read-off are g's *one-mismatch*
 companions: strategies that agree with g's support everywhere except in
@@ -208,6 +211,24 @@ def is_local_chained(dm: DistributionMatrix) -> bool:
     return identify_gpr(dm) is None
 
 
+def readoff_weights(
+    dm: DistributionMatrix, g: GeneralizedPRBox
+) -> tuple[tuple[tuple[LocalDeterministic, Fraction], ...], Fraction]:
+    """The cell read-off against ``g``: each one-mismatch companion with
+    the entry of ``dm`` in its mismatch cell (row-major cell order), and
+    the weight left for ``g``, 1 minus their sum.
+
+    The mismatch cells are exactly g's zero cells, so g's weight is 1
+    minus its chained value.  Weights are not checked: off the polytope
+    some may be negative.
+    """
+    terms = tuple(
+        (box, dm.entries[cell.row][cell.column])
+        for cell, box in one_support_mismatches(g).items()
+    )
+    return terms, Fraction(1) - sum((w for _, w in terms), Fraction(0))
+
+
 def decompose_chained(dm: DistributionMatrix) -> Decomposition:
     """Read-off decomposition of a matrix nonlocal toward some box ``g``:
     ``g`` plus one-mismatch deterministic boxes, the weight of each box
@@ -222,20 +243,14 @@ def decompose_chained(dm: DistributionMatrix) -> Decomposition:
         raise NotApplicableError(
             "matrix is local: no generalized PR box functional falls below 1"
         )
-    companions = one_support_mismatches(g)
-    ld_terms = []
-    total = Fraction(0)
-    for cell, box in companions.items():
-        w = dm.entries[cell.row][cell.column]
-        total += w
-        if w > 0:
-            ld_terms.append((box, w))
-    g_weight = Fraction(1) - total
+    ld_terms, g_weight = readoff_weights(dm, g)
     if g_weight <= 0:
         raise InvariantViolationError(
             "functional below 1 must leave positive box weight"
         )
-    dec = Decomposition(dm.scenario, (g, g_weight), tuple(ld_terms))
+    dec = Decomposition(
+        dm.scenario, (g, g_weight), tuple((box, w) for box, w in ld_terms if w > 0)
+    )
     if dec.mixture() != dm:
         raise InconsistentInputError(
             "read-off weights do not reconstruct the input; the matrix is "
@@ -247,15 +262,11 @@ def decompose_chained(dm: DistributionMatrix) -> Decomposition:
 def tightness_witness(dm: DistributionMatrix) -> tuple[Fraction, Decomposition]:
     """The maximal local weight achievable for ``dm`` and a decomposition
     achieving it: exactly the chained functional value of the violated
-    box, witnessed by the read-off decomposition."""
-    g = identify_gpr(dm)
-    if g is None:
-        raise NotApplicableError(
-            "matrix is local: its maximal local weight is trivially 1"
-        )
+    box, witnessed by the read-off decomposition (which refuses local
+    matrices: their maximal local weight is trivially 1)."""
     dec = decompose_chained(dm)
     weight = dec.local_weight
-    if weight != chained_value(dm, g):
+    if weight != chained_value(dm, dec.pr_term[0]):
         raise InvariantViolationError(
             "local weight of the read-off decomposition must equal the "
             "functional value"

@@ -1,18 +1,19 @@
-"""CHSH facets of the n=2 no-signaling polytope and vertex decompositions.
+"""The n=2 catalog on top of the chained engine: the paper's numbering
+of the 24 vertices, the 8 CHSH symmetries and their functionals, the
+replacement tables, and the single-cell violation estimator.
 
 Each of the 8 PR boxes sits above one CHSH facet of the local polytope;
 the facet inequality, the relabeling that maps the box onto PR box 1,
 and the 8 local deterministic boxes saturating the inequality together
-form a :class:`ChshSymmetry`.  A no-signaling matrix can violate at most
-one of the 8 inequalities, and when it does it decomposes *uniquely* as
-one PR box plus the 8 saturating deterministic boxes — the weights can
-be read directly off individual matrix cells, which is what
-:func:`decompose_222` does.
+form a :class:`ChshSymmetry`.  PR box k's CHSH value is 4 - 2 x its
+chained value, so identification and the read-off decomposition are the
+chained engine's (:mod:`bellpoly.chained`), named here by catalog index.
+The saturating sets are PR box k's one-mismatch companions; the uniform
+PR pair table and the cast-out table (a non-saturating deterministic box
+against two copies of PR box 1) come from ``domino_merge`` and
+``mismatch_replacement``.
 
-The module also carries the two exact replacement identities used to
-rewrite mixtures of nonlocal vertices into local ones (uniform PR pairs
-and the 1-to-3 cast-out of a non-saturating deterministic box against
-two copies of PR box 1), the 8 single-cell rewrites of the CHSH
+The module also carries the 8 single-cell rewrites of the CHSH
 functional whose value on any no-signaling matrix equals one quarter of
 the violation, and a variance-minimizing convex weighting of those 8
 rewrites for estimating the violation from finite samples.
@@ -20,21 +21,26 @@ rewrites for estimating the violation from finite samples.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactlin
+from .chained import (
+    decompose_chained,
+    domino_merge,
+    identify_gpr,
+    mismatch_replacement,
+    one_support_mismatches,
+    readoff_weights,
+)
 from .core import (
-    ANTICORRELATED,
     CORRELATED,
     Decomposition,
     DistributionMatrix,
-    InconsistentInputError,
     InvariantViolationError,
-    LocalDeterministic,
     NonConvergenceError,
     NotApplicableError,
     PreconditionError,
@@ -50,44 +56,32 @@ from .core import (
     require_member,
 )
 
-#: Catalog indices of the deterministic boxes saturating CHSH symmetry 1.
-SATURATING_SET_1 = frozenset({1, 4, 5, 8, 9, 12, 14, 15})
+_PR_INDEX = {box: k for k, box in enumerate(catalog_222()[0], start=1)}
+_LD_INDEX = {box: k for k, box in enumerate(catalog_222()[1], start=1)}
 
-#: Weight read-off cells for a matrix in canonical (symmetry-1) frame:
-#: LD catalog index -> the single (row, column) cell carrying its weight.
-READOFF_CELLS = {
-    14: (0, 1),
-    15: (0, 2),
-    12: (1, 1),
-    9: (1, 2),
-    1: (2, 0),
-    4: (2, 3),
-    5: (3, 1),
-    8: (3, 2),
-}
+
+def _ld_indices(boxes) -> tuple[int, ...]:
+    return tuple(sorted(_LD_INDEX[box] for box in boxes))
+
+
+def _saturating_set(k: int) -> frozenset[int]:
+    return frozenset(_ld_indices(one_support_mismatches(pr_box(k)).values()))
+
+
+#: Catalog indices of the deterministic boxes saturating CHSH symmetry 1.
+SATURATING_SET_1 = _saturating_set(1)
 
 #: Uniform-pair identities: (1, k) -> the 4 LD indices with
 #: 1/2 PR_1 + 1/2 PR_k = 1/4 (D_i + D_j + D_k + D_l).
 PAIR_TABLE = {
-    (1, 2): (1, 2, 3, 4),
-    (1, 3): (1, 4, 9, 12),
-    (1, 4): (5, 8, 14, 15),
-    (1, 5): (1, 4, 5, 8),
-    (1, 6): (9, 12, 14, 15),
-    (1, 7): (1, 4, 14, 15),
-    (1, 8): (5, 8, 9, 12),
+    (1, k): _ld_indices(domino_merge(pr_box(1), pr_box(k))) for k in range(2, 9)
 }
 
 #: Cast-out identities: d -> the 3 LD indices with D_d + 2 PR_1 = sum.
 CASTOUT_TABLE = {
-    2: (5, 12, 14),
-    3: (8, 9, 15),
-    6: (1, 12, 14),
-    7: (4, 9, 15),
-    10: (4, 5, 14),
-    11: (1, 8, 15),
-    13: (4, 5, 9),
-    16: (1, 8, 12),
+    d: _ld_indices(mismatch_replacement(pr_box(1), ld_box(d)))
+    for d in range(1, 17)
+    if d not in SATURATING_SET_1
 }
 
 #: The 8 single-cell rewrites of the quarter-violation, in canonical
@@ -120,25 +114,14 @@ class ChshSymmetry:
     index: int
     canonicalizer: Relabeling
     saturating_set: frozenset[int]
-    #: canonical-frame LD catalog index -> original-frame catalog index
-    ld_pullback: tuple[int, ...]
-
-    def pull_back_ld(self, canonical_index: int) -> int:
-        return self.ld_pullback[canonical_index - 1]
 
 
-_SYMMETRIES: tuple[ChshSymmetry, ...] | None = None
-_LD_MATRIX_INDEX: dict[DistributionMatrix, int] = {}
-_PR_MATRIX_INDEX: dict[DistributionMatrix, int] = {}
-
-
+@functools.cache
 def _matrix_indexes() -> tuple[dict, dict]:
-    global _LD_MATRIX_INDEX, _PR_MATRIX_INDEX
-    if not _LD_MATRIX_INDEX:
-        prs, lds = catalog_222()
-        _PR_MATRIX_INDEX = {box.matrix(): k + 1 for k, box in enumerate(prs)}
-        _LD_MATRIX_INDEX = {box.matrix(): k + 1 for k, box in enumerate(lds)}
-    return _PR_MATRIX_INDEX, _LD_MATRIX_INDEX
+    return (
+        {box.matrix(): k for box, k in _PR_INDEX.items()},
+        {box.matrix(): k for box, k in _LD_INDEX.items()},
+    )
 
 
 def ld_index_of(matrix: DistributionMatrix) -> int | None:
@@ -151,33 +134,33 @@ def pr_index_of(matrix: DistributionMatrix) -> int | None:
     return _matrix_indexes()[0].get(matrix)
 
 
+@functools.cache
 def chsh_symmetries() -> tuple[ChshSymmetry, ...]:
     """All 8 CHSH symmetries, index 1 first."""
-    global _SYMMETRIES
-    if _SYMMETRIES is None:
-        pr_idx, ld_idx = _matrix_indexes()
-        pr1 = pr_box(1).matrix()
-        syms = []
-        for k in range(1, 9):
-            target = pr_box(k).matrix()
-            canonicalizer = next(
-                r for r in all_relabelings() if apply_relabeling(target, r) == pr1
-            )
-            inverse = canonicalizer.inverse()
-            pullback = tuple(
-                ld_idx[apply_relabeling(ld_box(i).matrix(), inverse)]
-                for i in range(1, 17)
-            )
-            saturating = frozenset(pullback[i - 1] for i in SATURATING_SET_1)
-            syms.append(ChshSymmetry(k, canonicalizer, saturating, pullback))
-        _SYMMETRIES = tuple(syms)
-    return _SYMMETRIES
+    pr1 = pr_box(1).matrix()
+    return tuple(
+        ChshSymmetry(
+            k,
+            next(
+                r
+                for r in all_relabelings()
+                if apply_relabeling(pr_box(k).matrix(), r) == pr1
+            ),
+            _saturating_set(k),
+        )
+        for k in range(1, 9)
+    )
 
 
 def chsh_symmetry(index: int) -> ChshSymmetry:
     if not 1 <= index <= 8:
         raise PreconditionError(f"CHSH symmetry index must be 1..8, got {index}")
     return chsh_symmetries()[index - 1]
+
+
+def _require_222(dm: DistributionMatrix, what: str) -> None:
+    if dm.scenario.n != 2:
+        raise PreconditionError(f"{what} defined for n=2 only")
 
 
 def row_correlators(dm: DistributionMatrix) -> tuple[Fraction, ...]:
@@ -192,8 +175,7 @@ def chsh_value(dm: DistributionMatrix, sym: ChshSymmetry) -> Fraction:
     symmetry's PR box, which is exactly the assignment maximizing the
     functional (the PR box reaches 4).
     """
-    if dm.scenario.n != 2:
-        raise PreconditionError("CHSH functionals are defined for n=2 only")
+    _require_222(dm, "CHSH functionals are")
     signs = tuple(
         1 if t == CORRELATED else -1 for t in pr_box(sym.index).row_types
     )
@@ -209,18 +191,14 @@ def all_chsh_values(dm: DistributionMatrix) -> tuple[Fraction, ...]:
 def violated_symmetry(dm: DistributionMatrix) -> ChshSymmetry | None:
     """The unique symmetry with value > 2, or ``None`` when local.
 
-    No-signaling matrices can violate at most one CHSH symmetry; two
-    simultaneous violations mean the input was not a polytope member.
+    The symmetry of the PR box :func:`~bellpoly.chained.identify_gpr`
+    finds: a value above 2 is a chained value below 1.  Two simultaneous
+    violations mean the input was not a polytope member.
     """
     require_member(dm, context="violated_symmetry")
-    hits = [
-        sym for sym in chsh_symmetries() if chsh_value(dm, sym) > 2
-    ]
-    if len(hits) > 1:
-        raise InvariantViolationError(
-            f"matrix violates {len(hits)} CHSH symmetries at once"
-        )
-    return hits[0] if hits else None
+    _require_222(dm, "CHSH functionals are")
+    g = identify_gpr(dm)
+    return None if g is None else chsh_symmetry(_PR_INDEX[g])
 
 
 def is_local_222(dm: DistributionMatrix) -> bool:
@@ -228,36 +206,8 @@ def is_local_222(dm: DistributionMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition of a violating matrix: weights read off single cells
+# Decompositions
 # ---------------------------------------------------------------------------
-
-
-def _readoff_terms(
-    dm: DistributionMatrix, sym: ChshSymmetry
-) -> tuple[list[tuple[LocalDeterministic, Fraction]], tuple, Fraction]:
-    """Read PR/LD weights off the canonical-frame cells of ``dm``.
-
-    Returns ``(ld_terms, pr_term, pr_weight)`` in the *original* frame.
-    Raises :class:`PreconditionError` if any read-off weight is negative
-    (possible only for inputs outside the polytope).
-    """
-    canonical = apply_relabeling(dm, sym.canonicalizer)
-    weights = {
-        i: canonical.entries[r][c] for i, (r, c) in READOFF_CELLS.items()
-    }
-    pr_weight = Fraction(1) - sum(weights.values())
-    if pr_weight < 0 or any(w < 0 for w in weights.values()):
-        raise PreconditionError(
-            "cell read-off produced a negative weight; the input is too far "
-            "outside the no-signaling polytope to decompose"
-        )
-    ld_terms = [
-        (ld_box(sym.pull_back_ld(i)), w)
-        for i, w in sorted(weights.items())
-        if w > 0
-    ]
-    pr_term = (pr_box(sym.index), pr_weight)
-    return ld_terms, pr_term, pr_weight
 
 
 def readoff_222(
@@ -267,12 +217,14 @@ def readoff_222(
     polytope (e.g. tables of rounded experimental frequencies).
 
     Picks the symmetry with the largest functional value (which must
-    exceed 2), reads the weights off the corresponding cells, and
-    returns the decomposition together with the total-variation residual
-    between its mixture and the input — exactly 0 for polytope members.
+    exceed 2), reads the weights off its PR box's one-mismatch cells
+    (:func:`~bellpoly.chained.readoff_weights`), and returns the
+    decomposition together with the total-variation residual between its
+    mixture and the input — exactly 0 for polytope members.  Raises
+    :class:`PreconditionError` if any read-off weight is negative
+    (possible only for inputs outside the polytope).
     """
-    if dm.scenario.n != 2:
-        raise PreconditionError("cell read-off is defined for n=2 only")
+    _require_222(dm, "cell read-off is")
     values = all_chsh_values(dm)
     best = max(range(8), key=lambda k: values[k])
     if values[best] <= 2:
@@ -280,16 +232,22 @@ def readoff_222(
             "matrix violates no CHSH symmetry; the PR-plus-saturating-LD "
             "decomposition applies to nonlocal matrices only"
         )
-    sym = chsh_symmetries()[best]
-    ld_terms, pr_term, pr_weight = _readoff_terms(dm, sym)
+    pr = pr_box(best + 1)
+    ld_terms, pr_weight = readoff_weights(dm, pr)
+    if pr_weight < 0 or any(w < 0 for _, w in ld_terms):
+        raise PreconditionError(
+            "cell read-off produced a negative weight; the input is too far "
+            "outside the no-signaling polytope to decompose"
+        )
     dec = Decomposition(
-        dm.scenario, pr_term if pr_weight > 0 else None, tuple(ld_terms)
+        dm.scenario,
+        (pr, pr_weight) if pr_weight > 0 else None,
+        tuple((box, w) for box, w in ld_terms if w > 0),
     )
-    reconstructed = dec.mixture()
     residual = sum(
         (
             abs(a - b)
-            for ra, rb in zip(reconstructed.entries, dm.entries)
+            for ra, rb in zip(dec.mixture().entries, dm.entries)
             for a, b in zip(ra, rb)
         ),
         Fraction(0),
@@ -299,50 +257,41 @@ def readoff_222(
 
 def decompose_222(dm: DistributionMatrix) -> Decomposition:
     """Unique decomposition of a CHSH-violating matrix into its PR box
-    plus the 8 saturating deterministic boxes, by exact cell read-off.
+    plus the 8 saturating deterministic boxes, by exact cell read-off:
+    :func:`~bellpoly.chained.decompose_chained` at n=2.
 
     The PR weight is half the violation: value = 2 + 2 * pr_weight.
     """
     require_member(dm, context="decompose_222")
-    sym = violated_symmetry(dm)
-    if sym is None:
-        raise NotApplicableError(
-            "matrix violates no CHSH symmetry; use decompose_local_222"
-        )
-    dec, residual = readoff_222(dm)
-    if residual != 0:
-        raise InconsistentInputError(
-            f"read-off weights do not reconstruct the input "
-            f"(total-variation residual {residual}); the matrix is not a "
-            f"no-signaling polytope member"
-        )
-    return dec
+    _require_222(dm, "CHSH functionals are")
+    return decompose_chained(dm)
 
 
 def decompose_local_222(dm: DistributionMatrix) -> Decomposition:
     """Some exact convex decomposition of a local matrix into at most 9
     deterministic boxes, found by exact linear-feasibility search."""
     require_member(dm, context="decompose_local_222")
-    _, lds = catalog_222()
-    columns = [box.matrix() for box in lds]
-    rows = []
-    rhs = []
-    for r in range(4):
-        for c in range(4):
-            rows.append([m.entries[r][c] for m in columns])
-            rhs.append(dm.entries[r][c])
-    rows.append([Fraction(1)] * 16)
-    rhs.append(Fraction(1))
-    solution = exactlin.simplex_feasible(rows, rhs)
+    solution = ld_mixture_weights(dm, range(1, 17))
     if solution is None:
         raise NotApplicableError(
             "matrix admits no local decomposition (it violates a CHSH "
             "symmetry); use decompose_222"
         )
     terms = tuple(
-        (lds[i], w) for i, w in enumerate(solution) if w > 0
+        (ld_box(i), w) for i, w in enumerate(solution, start=1) if w > 0
     )
     return Decomposition(dm.scenario, None, terms)
+
+
+def ld_mixture_weights(dm: DistributionMatrix, indices) -> list[Fraction] | None:
+    """Exact weights over the listed deterministic boxes (catalog
+    indices) whose mixture is ``dm``, or ``None`` when there are none."""
+    columns = [ld_box(i).matrix().entries for i in indices]
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    rows = [[m[r][c] for m in columns] for r, c in cells]
+    rows.append([Fraction(1)] * len(columns))
+    rhs = [dm.entries[r][c] for r, c in cells] + [Fraction(1)]
+    return exactlin.simplex_feasible(rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +303,8 @@ def pair_replacement(i: int, j: int) -> tuple[int, int, int, int]:
     """The 4 LD catalog indices with 1/2 PR_i + 1/2 PR_j = 1/4 their sum.
 
     Defined for any two *distinct* PR boxes; pairs not involving PR box 1
-    are resolved by conjugating the stored PR-1 identities with the
-    relabeling that canonicalizes PR box ``i``.
+    are resolved by conjugating the PR-1 identities with the relabeling
+    that canonicalizes PR box ``i``.
     """
     if not (1 <= i <= 8 and 1 <= j <= 8):
         raise PreconditionError("PR box indices must be in 1..8")
@@ -363,13 +312,17 @@ def pair_replacement(i: int, j: int) -> tuple[int, int, int, int]:
         raise PreconditionError(
             "uniform-pair replacement needs two distinct PR boxes"
         )
-    sym = chsh_symmetry(i)
-    target = apply_relabeling(pr_box(j).matrix(), sym.canonicalizer)
-    partner = pr_index_of(target)
+    canonicalizer = chsh_symmetry(i).canonicalizer
+    partner = pr_index_of(apply_relabeling(pr_box(j).matrix(), canonicalizer))
     if partner is None or partner == 1:
         raise InvariantViolationError("canonicalizer failed to map a PR box")
-    base = PAIR_TABLE[(1, partner)]
-    return tuple(sorted(sym.pull_back_ld(t) for t in base))
+    inverse = canonicalizer.inverse()
+    return tuple(
+        sorted(
+            ld_index_of(apply_relabeling(ld_box(t).matrix(), inverse))
+            for t in PAIR_TABLE[(1, partner)]
+        )
+    )
 
 
 def castout_replacement(d: int) -> tuple[int, int, int]:
@@ -403,8 +356,7 @@ def variant_eberhard_values(
     agree and equal one quarter of the CHSH violation (half the PR
     weight when the matrix is nonlocal).
     """
-    if dm.scenario.n != 2:
-        raise PreconditionError("the rewrites are defined for n=2 only")
+    _require_222(dm, "the rewrites are")
     canonical = apply_relabeling(dm, sym.canonicalizer)
     values = []
     for plus, minuses in VARIANT_CELLS:

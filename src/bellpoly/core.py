@@ -108,18 +108,42 @@ ANTICORRELATED_ROW = (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0))
 RationalLike = Union[Fraction, int, str, float]
 
 
+#: Most decimal digits, and largest decimal exponent, that
+#: :func:`as_fraction` accepts in a string or integer.  Every float's
+#: shortest decimal form fits (exponents reach 324).
+MAX_LITERAL_DIGITS = 400
+
+
+def _literal_too_big(value: int | str) -> bool:
+    if isinstance(value, int):
+        return abs(value) >= 10**MAX_LITERAL_DIGITS
+    mantissa, _, exponent = value.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    return (
+        sum(ch.isdecimal() for ch in mantissa) > MAX_LITERAL_DIGITS
+        or len(exponent) > MAX_LITERAL_DIGITS
+        or (exponent.isdecimal() and int(exponent) > MAX_LITERAL_DIGITS)
+    )
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
 
     Decimal strings convert exactly (``"0.0000743"`` becomes
     743/10000000), as do ``"p/q"`` strings and integers.  Floats convert
-    via their exact binary expansion.
+    via their exact binary expansion.  Literals beyond
+    :data:`MAX_LITERAL_DIGITS` are rejected before any integer is built.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ShapeError(f"expected a rational value, got {value!r}")
     if isinstance(value, (int, str)):
+        if _literal_too_big(value):
+            raise ShapeError(
+                f"cannot parse rational value: more than {MAX_LITERAL_DIGITS} "
+                f"digits or a decimal exponent beyond {MAX_LITERAL_DIGITS}"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -13,7 +13,9 @@ with independent efficiencies ea, eb per side.  The transform maps the
 no-signaling polytope into itself and composes multiplicatively, so
 nonlocality is monotone in eta and the threshold below which the
 transformed matrix becomes local is well-defined; it is found by exact
-bisection on rational midpoints.
+bisection on rational midpoints, testing nonlocality with the chained
+engine's :func:`~bellpoly.chained.identify_gpr` at every n, n=2
+included.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chained import identify_gpr
-from .chsh import violated_symmetry
 from .core import (
     DistributionMatrix,
     InvariantViolationError,
@@ -71,12 +72,6 @@ def apply_efficiency(
     return DistributionMatrix(dm.scenario, tuple(rows))
 
 
-def _is_nonlocal(dm: DistributionMatrix) -> bool:
-    if dm.scenario.n == 2:
-        return violated_symmetry(dm) is not None
-    return identify_gpr(dm) is not None
-
-
 _BISECTION_STEPS = 60
 
 
@@ -90,14 +85,15 @@ def critical_efficiency(dm: DistributionMatrix) -> float | None:
     in eta is asserted across all probed points.
     """
     require_member(dm, context="critical_efficiency")
-    if not _is_nonlocal(dm):
+    if identify_gpr(dm) is None:
         return None
     lo, hi = Fraction(0), Fraction(1)  # lo is always local, hi nonlocal
     probes: list[tuple[Fraction, bool]] = [(lo, False), (hi, True)]
     for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2
-        nonlocal_here = _is_nonlocal(
-            apply_efficiency(dm, EfficiencyParams.symmetric(mid))
+        nonlocal_here = (
+            identify_gpr(apply_efficiency(dm, EfficiencyParams.symmetric(mid)))
+            is not None
         )
         probes.append((mid, nonlocal_here))
         if nonlocal_here:

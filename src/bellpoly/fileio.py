@@ -57,7 +57,7 @@ def loads_distribution(
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integer literals beyond int's digit limit
             raise ShapeError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ShapeError("distribution document must be a JSON object")

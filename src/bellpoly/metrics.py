@@ -12,6 +12,10 @@ is checked in the test suite against the full 16-box optimization.
 Also here: :func:`face_projection`, the exact mixing coefficient that
 lands a combination of a violating matrix and a local matrix on the
 saturating face of the violated CHSH inequality.
+
+Each function identifies the violated box once, through
+:func:`~bellpoly.chsh.violated_symmetry` (the chained engine at n=2);
+the PR weight is 1 minus that box's chained value.
 """
 
 from __future__ import annotations
@@ -23,25 +27,23 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import exactlin
+from .chained import chained_value, readoff_weights
 from .chsh import (
-    chsh_symmetries,
-    decompose_222,
     decompose_local_222,
     ld_index_of,
+    ld_mixture_weights,
     violated_symmetry,
 )
 from .core import (
-    Decomposition,
     DistributionMatrix,
     InvariantViolationError,
     NonConvergenceError,
     NotApplicableError,
     PreconditionError,
     SettingsDistribution,
-    catalog_222,
     ld_box,
     mix,
+    pr_box,
     require_member,
 )
 
@@ -85,14 +87,14 @@ def tv_closest_local(q: DistributionMatrix) -> ClosestLocalResult:
     sym = violated_symmetry(q)
     if sym is None:
         return ClosestLocalResult(q, Fraction(0), None)
-    dec = decompose_222(q)
-    share = dec.pr_weight / 8
-    weights = {index: share for index in sorted(sym.saturating_set)}
-    for box, w in dec.ld_terms:
-        weights[ld_index_of(box.matrix())] += w
-    closest = mix([(ld_box(i), w) for i, w in sorted(weights.items())])
+    # The read-off boxes are exactly the symmetry's 8 saturating boxes.
+    ld_terms, pr_weight = readoff_weights(q, pr_box(sym.index))
+    weights = dict(
+        sorted((ld_index_of(box.matrix()), w + pr_weight / 8) for box, w in ld_terms)
+    )
+    closest = mix([(ld_box(i), w) for i, w in weights.items()])
     distance = tv_distance(q, closest)
-    if distance != dec.pr_weight:
+    if distance != pr_weight:
         raise InvariantViolationError(
             "uniform PR spreading must land at distance exactly the PR weight"
         )
@@ -237,10 +239,9 @@ def kl_closest_local(
     strictly positive.  Local queries return themselves at distance 0.
     """
     require_member(q, context="kl_closest_local")
-    sym = violated_symmetry(q)
-    if sym is None:
-        return ClosestLocalResult(q, 0.0, None)
     tv = tv_closest_local(q)
+    if tv.weights is None:
+        return ClosestLocalResult(q, 0.0, None)
     indices = sorted(tv.weights)
     start = [tv.weights[i] for i in indices]
     x, value, _ = kl_minimize(q, settings, indices, start)
@@ -287,19 +288,10 @@ def face_projection(
         ),
         Fraction(0),
     )
-    r = decompose_222(q).pr_weight
+    r = 1 - chained_value(q, pr_box(sym.index))
     lam = 2 * outside / (2 * outside + r)
     projected = mix([(q, lam), (s_local, 1 - lam)])
-    columns = [ld_box(i).matrix() for i in sorted(sym.saturating_set)]
-    rows = []
-    rhs = []
-    for rr in range(4):
-        for cc in range(4):
-            rows.append([m.entries[rr][cc] for m in columns])
-            rhs.append(projected.entries[rr][cc])
-    rows.append([Fraction(1)] * len(columns))
-    rhs.append(Fraction(1))
-    if exactlin.simplex_feasible(rows, rhs) is None:
+    if ld_mixture_weights(projected, sorted(sym.saturating_set)) is None:
         raise InvariantViolationError(
             "projected matrix must lie on the saturating face"
         )

@@ -184,6 +184,42 @@ def test_pair_replacement_matches_printed_rows():
         assert bp.pair_replacement(i, j) == expected
 
 
+# Every unordered pair, as the conjugated PR-1 rows give it.  For the
+# complementary pairs (3, 4), (5, 6) and (7, 8) the box merge of the pair
+# itself would give (1, 2, 3, 4); the identities are equally valid, so
+# these rows pin which one pair_replacement returns.
+ALL_PAIR_ROWS = {
+    **PRINTED_PAIR_ROWS,
+    (2, 3): (6, 7, 13, 16),
+    (2, 4): (2, 3, 10, 11),
+    (2, 5): (10, 11, 13, 16),
+    (2, 6): (2, 3, 6, 7),
+    (2, 7): (6, 7, 10, 11),
+    (2, 8): (2, 3, 13, 16),
+    (3, 4): (9, 10, 11, 12),
+    (3, 5): (1, 4, 13, 16),
+    (3, 6): (6, 7, 9, 12),
+    (3, 7): (1, 4, 6, 7),
+    (3, 8): (9, 12, 13, 16),
+    (4, 5): (5, 8, 10, 11),
+    (4, 6): (2, 3, 14, 15),
+    (4, 7): (10, 11, 14, 15),
+    (4, 8): (2, 3, 5, 8),
+    (5, 6): (5, 6, 7, 8),
+    (5, 7): (1, 4, 10, 11),
+    (5, 8): (5, 8, 13, 16),
+    (6, 7): (6, 7, 14, 15),
+    (6, 8): (2, 3, 9, 12),
+    (7, 8): (13, 14, 15, 16),
+}
+
+
+def test_pair_replacement_pins_every_unordered_pair():
+    assert len(ALL_PAIR_ROWS) == 28
+    for (i, j), expected in ALL_PAIR_ROWS.items():
+        assert bp.pair_replacement(i, j) == expected, (i, j)
+
+
 def test_pair_replacement_mixture_identity_all_pairs():
     for i in range(1, 9):
         for j in range(i + 1, 9):

@@ -3,9 +3,11 @@ auto-projection, and determinism."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,19 @@ def test_console_entry_point(pr1_path):
         ["bellpoly", "chsh", str(pr1_path)],
         capture_output=True,
         text=True,
+    )
+    assert completed.returncode == 0
+    assert "symmetry 1: 4" in completed.stdout
+
+
+def test_module_entry_point(pr1_path):
+    src = Path(bp.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    completed = subprocess.run(
+        [sys.executable, "-m", "bellpoly", "chsh", str(pr1_path)],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert completed.returncode == 0
     assert "symmetry 1: 4" in completed.stdout
@@ -480,3 +495,19 @@ def test_wrong_scenario_is_a_domain_error(capsys, chained_path):
     code, _, err = run_cli(capsys, "chsh", chained_path)
     assert code == 1
     assert "n=2" in err
+
+
+@pytest.mark.parametrize("cell", ["1e5000", "1e999999999"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oversized_literals_are_malformed_input(
+    capsys, tmp_path, pr1_path, cell, fmt
+):
+    doc = json.loads(pr1_path.read_text())
+    doc["rows"][0]["probs"][1] = cell
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", path, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error (malformed input):")
+    assert "Traceback" not in err

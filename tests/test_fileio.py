@@ -155,3 +155,28 @@ def test_garbage_probability_string_is_rejected():
     }
     with pytest.raises(ShapeError):
         bp.loads_distribution(doc)
+
+
+@pytest.mark.parametrize("cell", ["1e5000", "1e999999999", "1e-5000", "1" * 500])
+def test_oversized_literals_are_rejected_before_they_are_built(cell):
+    # "1e999999999" would make Fraction build 10**999999999; the digit and
+    # exponent caps reject it first.
+    doc = {"n": 2, "rows": [["1/2", "0", "0", cell]] + [["1/4"] * 4] * 3}
+    with pytest.raises(ShapeError, match="digits"):
+        bp.loads_distribution(doc)
+    with pytest.raises(ShapeError, match="digits"):
+        bp.loads_distribution(json.dumps(doc))
+
+
+def test_integer_literal_beyond_the_json_digit_limit_is_rejected():
+    text = json.dumps({"n": 2, "rows": [["1/4"] * 4] * 4})
+    text = text.replace('"1/4"', "1" * 5000, 1)
+    with pytest.raises(ShapeError):
+        bp.loads_distribution(text)
+
+
+def test_literal_caps_admit_every_float_decimal():
+    assert bp.as_fraction("5e-324") == Fraction(5, 10**324)
+    largest = Fraction(17976931348623157) * 10**292
+    assert bp.as_fraction(repr(1.7976931348623157e308)) == largest
+    assert bp.as_fraction("1e400") == 10**400
