@@ -312,11 +312,10 @@ def _cmd_decompose(args) -> int:
     if dm.scenario.n == 2:
         violations = validate(dm)
         if not violations:
-            sym = chsh.violated_symmetry(dm)
-            if sym is not None:
+            try:
                 dec = chsh.decompose_222(dm)
                 kind = "pr-plus-saturating"
-            else:
+            except NotApplicableError:  # the matrix is local
                 dec = chsh.decompose_local_222(dm)
                 kind = "local"
         else:
@@ -542,7 +541,7 @@ def _cmd_tightness(args) -> int:
 
 def _cmd_vertices(args) -> int:
     scenario = Scenario(args.n)
-    vertices = polytope.enumerate_vertices(scenario, slow=args.slow)
+    vertices = polytope.enumerate_vertices(scenario)
     deterministic = sum(
         1
         for dm in vertices
@@ -693,11 +692,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("vertices", _cmd_vertices, "enumerate polytope vertices",
             file=False)
-    p.add_argument("--n", type=int, required=True, help="scenario size (2 or 3)")
+    p.add_argument("--n", type=int, required=True, help="scenario size (2..4)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the box catalogs")
-    p.add_argument("--slow", action="store_true",
-                   help="allow the minutes-long n=3 enumeration")
     p.add_argument("--list", action="store_true",
                    help="include every vertex matrix in the report")
 

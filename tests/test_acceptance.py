@@ -53,7 +53,7 @@ def test_criterion_01_vertex_enumeration():
 
         started = time.monotonic()
         scenario3 = bp.Scenario(3)
-        vertices3 = bp.enumerate_vertices(scenario3, slow=True)
+        vertices3 = bp.enumerate_vertices(scenario3)
         assert time.monotonic() - started < 600.0
         assert len(vertices3) == 96
         catalog3 = list(bp.enumerate_lds(scenario3)) + list(

@@ -414,12 +414,24 @@ def test_vertices_list_includes_matrices(capsys):
 
 
 def test_vertices_capacity_guards(capsys):
-    code, _, err = run_cli(capsys, "vertices", "--n", "3")
+    code, out, err = run_cli(capsys, "vertices", "--n", "5")
     assert code == 1
-    assert "slow=True" in err or "--slow" in err or "slow" in err
-    code, _, err = run_cli(capsys, "vertices", "--n", "4", "--slow")
-    assert code == 1
-    assert "n=4" in err
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "n=5" in err
+    code, _, err = run_cli(capsys, "vertices", "--n", "3", "--slow")
+    assert code == 2
+    assert "--slow" in err
+
+
+def test_vertices_at_n3_match_the_catalogs(capsys):
+    code, out, _ = run_cli(capsys, "vertices", "--n", "3", "--verify")
+    assert code == 0
+    assert "96 vertices; catalogs match" in out
+    code, report, _ = run_json(capsys, "vertices", "--n", "3", "--verify")
+    assert code == 0
+    assert report["result"]["catalogs_match"] is True
+    assert report["result"]["count"] == 96
 
 
 def test_extremal_check(capsys, pr1_path, tmp_path):

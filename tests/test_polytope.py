@@ -1,15 +1,17 @@
 """The nonsignaling polytope as a constraint system: membership facets,
 active sets, extremality, and vertex enumeration."""
 
-import gc
-import sys
+import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bellpoly as bp
 from bellpoly import CapacityError
+from bellpoly.polytope import extreme_rays
 from conftest import random_nonsignaling_222
 
 F = Fraction
@@ -151,29 +153,107 @@ def test_vertex_enumeration_at_n2():
     assert all(bp.is_extremal(v) for v in vertices)
 
 
-def test_zero_pattern_chunks_are_released_without_a_garbage_collection():
-    # The n=2 walk builds 10896 zero-pattern tuples per pass; none of them
-    # may outlive the pass waiting for the cycle collector.
-    from bellpoly.polytope import _iter_zero_pattern_chunks
-
-    def one_pass():
-        for _ in _iter_zero_pattern_chunks(bp.SCENARIO_222, 50_000):
-            pass
-
-    one_pass()  # first-call caches
-    gc.disable()
-    try:
-        before = sys.getallocatedblocks()
-        for _ in range(3):
-            one_pass()
-        grown = sys.getallocatedblocks() - before
-    finally:
-        gc.enable()
-    assert grown < 1000
+def test_vertex_enumeration_at_n4_matches_the_box_catalogs():
+    scenario = bp.Scenario(4)
+    vertices = bp.enumerate_vertices(scenario)
+    lds, gprs = bp.enumerate_lds(scenario), bp.enumerate_gprs(scenario)
+    assert (len(lds), len(gprs), len(vertices)) == (256, 128, 384)
+    assert entry_set(vertices) == entry_set(map(bp.as_matrix, lds + gprs))
+    keys = [[v for row in dm.entries for v in row] for dm in vertices]
+    assert keys == sorted(keys)
 
 
 def test_vertex_enumeration_guards_slow_cases():
-    with pytest.raises(CapacityError, match="slow=True"):
-        bp.enumerate_vertices(bp.Scenario(3))
-    with pytest.raises(CapacityError, match="n=4"):
-        bp.enumerate_vertices(bp.Scenario(4), slow=True)
+    with pytest.raises(CapacityError, match="n=5"):
+        bp.enumerate_vertices(bp.Scenario(5))
+
+
+# ---------------------------------------------------------------------------
+# The double-description kernel against a brute force
+# ---------------------------------------------------------------------------
+
+
+def null_vector(rows, dim):
+    """The primitive integer spanning vector of the null space of
+    ``rows`` when it is one-dimensional, else ``None``."""
+    m = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(dim):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [v / m[r][col] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(col)
+    if len(pivots) != dim - 1:
+        return None
+    (free,) = set(range(dim)) - set(pivots)
+    z = [F(0)] * dim
+    z[free] = F(1)
+    for row, col in zip(m, pivots):
+        z[col] = -row[free]
+    scale = math.lcm(*(v.denominator for v in z))
+    ints = [int(v * scale) for v in z]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def brute_force_rays(rows, dim):
+    """Every ray of ``{z >= 0, r . z >= 0}`` tight on some ``dim - 1``
+    independent constraints: each (dim-1)-subset of the constraints,
+    solved exactly, kept when feasible."""
+    constraints = [[int(j == k) for j in range(dim)] for k in range(dim)] + rows
+    found = set()
+    for subset in itertools.combinations(constraints, dim - 1):
+        z = null_vector(subset, dim)
+        if z is None:
+            continue
+        for ray in (z, tuple(-v for v in z)):
+            if all(sum(a * v for a, v in zip(c, ray)) >= 0 for c in constraints):
+                found.add(ray)
+    return found
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_extreme_rays_match_brute_force_on_small_cones(data):
+    dim = data.draw(st.integers(2, 5))
+    entries = st.integers(-1, 1)
+    vector = st.lists(entries, min_size=dim, max_size=dim)
+    rows = data.draw(st.lists(vector, max_size=4))
+    # Degenerate cuts: rows through one ray of the orthant, so that many
+    # constraints are tight there at once.
+    center = data.draw(
+        st.lists(st.integers(0, 2), min_size=dim, max_size=dim).filter(any)
+    )
+    norm = sum(c * c for c in center)
+    for w in data.draw(st.lists(vector, max_size=4)):
+        dot = sum(a * c for a, c in zip(w, center))
+        rows.append([norm * a - dot * c for a, c in zip(w, center)])
+    rows = data.draw(st.permutations(rows))
+    rays = extreme_rays(rows, dim)
+    assert len(rays) == len(set(rays))
+    assert set(rays) == brute_force_rays(rows, dim)
+
+
+def test_extreme_rays_reject_a_non_adjacent_pair_that_passes_the_count():
+    # The all-zero cut and the coordinates z0, z1 are tight on every ray
+    # in the face z0 = z1 = 0, so pairs there share dim - 2 constraints
+    # whether or not they are adjacent; only the combinatorial test
+    # keeps (0, 0, 1, 1, 1) out.
+    rows = [[0, 0, 0, 0, 0], [0, 0, 1, 1, -1], [0, 0, -1, 1, 0]]
+    rays = extreme_rays(rows, 5)
+    assert sorted(rays) == [
+        (0, 0, 0, 1, 0),
+        (0, 0, 0, 1, 1),
+        (0, 0, 1, 1, 0),
+        (0, 0, 1, 1, 2),
+        (0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 0),
+    ]
+    assert set(rays) == brute_force_rays(rows, 5)
