@@ -12,16 +12,19 @@ order, columns ``++ +0 0+ 00``), and provides:
 * the n=2 catalog on top of it: the paper's numbering of the 24
   vertices, the 8 CHSH symmetries, the replacement tables derived from
   the general constructions, the single-cell rewrites of the quarter
-  violation, and a variance-minimizing violation estimator,
+  violation, and a variance-minimizing violation estimator with exact
+  rational weights,
 * distance measures to the local polytope (total variation exactly,
-  Kullback-Leibler numerically) and a face projection,
+  Kullback-Leibler numerically, with a Frank-Wolfe gap certificate) and
+  a face projection,
 * detector-efficiency transforms with exact critical-threshold bisection,
 * vertex enumeration with exact extremality certificates.
 
 All polytope geometry is exact (:class:`fractions.Fraction` cells, with
 ``gmpy2`` transparently accelerating the linear algebra when present);
-floats appear only in the two numerical optimizers and as requested
-renderings.
+floats appear only in the KL optimizer, in the value the efficiency
+bisection returns, and as requested renderings.  Beyond the optional
+``gmpy2`` the package needs nothing outside the standard library.
 """
 
 from .chained import (
@@ -52,7 +55,9 @@ from .chsh import (
     chsh_value,
     decompose_222,
     decompose_local_222,
+    EstimatorQuadratic,
     estimator_objective,
+    estimator_quadratic,
     estimator_weights,
     is_local_222,
     ld_index_of,
@@ -116,6 +121,7 @@ from .metrics import (
     face_projection,
     kl_closest_local,
     kl_divergence,
+    kl_gap,
     kl_gradient,
     kl_minimize,
     kl_objective,
@@ -125,6 +131,7 @@ from .metrics import (
 from .polytope import (
     ConstraintRow,
     ConstraintSystem,
+    active_rank,
     active_rows,
     build_constraints,
     enumerate_vertices,

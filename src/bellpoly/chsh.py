@@ -15,17 +15,18 @@ against two copies of PR box 1) come from ``domino_merge`` and
 
 The module also carries the 8 single-cell rewrites of the CHSH
 functional whose value on any no-signaling matrix equals one quarter of
-the violation, and a variance-minimizing convex weighting of those 8
-rewrites for estimating the violation from finite samples.
+the violation, and the variance-minimizing convex weighting of those 8
+rewrites for estimating the violation from finite samples: an exact
+rational quadratic program, solved by an active-set method on
+:mod:`bellpoly.exactlin`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import exactlin
 from .chained import (
@@ -41,7 +42,6 @@ from .core import (
     Decomposition,
     DistributionMatrix,
     InvariantViolationError,
-    NonConvergenceError,
     NotApplicableError,
     PreconditionError,
     Relabeling,
@@ -380,11 +380,108 @@ def _variant_signed_cells(
     return tuple(out)
 
 
-def _estimator_quadratic(
+@dataclass(frozen=True)
+class EstimatorQuadratic:
+    """The second moment  E[T^2] = c^T M c  of the sampled single-trial
+    estimator under convex weights ``c`` over the 8 rewrites of the
+    violated ``symmetry``.
+
+    M is exact and stored integer-scaled, ``M = matrix / scale``; the
+    minimizer does not depend on the scale.  M is positive definite:
+    each rewrite's positive cell is its own cell of the PR box's support,
+    which a violating matrix weights positively, so M dominates a
+    positive diagonal.
+    """
+
+    symmetry: ChshSymmetry
+    matrix: tuple[tuple[int, ...], ...]
+    scale: int
+
+    def objective(self, weights) -> Fraction:
+        """The exact second moment under the given weights."""
+        v, d = _common_denominator([Fraction(w) for w in weights])
+        form = sum(vi * gi for vi, gi in zip(v, self._apply(v)))
+        return Fraction(form, d * d * self.scale)
+
+    def _apply(self, v: list[int]) -> list[int]:
+        return [sum(m * vj for m, vj in zip(row, v)) for row in self.matrix]
+
+    def minimize(self) -> tuple[Fraction, ...]:
+        """The exact minimizer over the probability simplex, by a primal
+        active-set method.
+
+        The working set holds the weights fixed at 0; the other weights
+        are free.  Each round solves the KKT system of the QP restricted
+        to the free weights and sum 1, and moves the iterate towards that
+        minimizer until a free weight reaches 0, which joins the working
+        set.  At the restricted minimizer the free weights share one
+        gradient value mu; a fixed weight whose gradient is below mu
+        leaves the working set (the lowest first), and when there is none
+        the KKT conditions of the whole problem hold.  M is positive
+        definite, so each restricted minimizer is unique and the
+        objective falls strictly from one to the next.
+        """
+        size = len(self.matrix)
+        c = [Fraction(1, size)] * size
+        fixed: set[int] = set()
+        for _ in range(_ACTIVE_SET_ROUNDS):
+            free = [i for i in range(size) if i not in fixed]
+            target = self._face_minimizer(free)
+            if target != c:
+                step, block = Fraction(1), None
+                for i in free:
+                    if target[i] < c[i]:
+                        ratio = c[i] / (c[i] - target[i])
+                        if ratio < step:
+                            step, block = ratio, i
+                if block is None:
+                    c = target
+                else:
+                    c = [ci + step * (ti - ci) for ci, ti in zip(c, target)]
+                    c[block] = Fraction(0)
+                    fixed.add(block)
+                    continue
+            gradient = self._apply(_common_denominator(c)[0])
+            mu = gradient[free[0]]
+            leaving = min(fixed, key=lambda i: (gradient[i], i), default=None)
+            if leaving is None or gradient[leaving] >= mu:
+                return tuple(c)
+            fixed.remove(leaving)
+        raise InvariantViolationError("active-set method did not terminate")
+
+    def _face_minimizer(self, free: list[int]) -> list[Fraction]:
+        """The minimizer of c^T M c over sum(c) = 1 with the weights
+        outside ``free`` at 0:  c_F = y / sum(y)  with  M_FF y = 1."""
+        y = exactlin.solve_square(
+            [[self.matrix[i][j] for j in free] for i in free], [1] * len(free)
+        )
+        if y is None:
+            raise InvariantViolationError("estimator quadratic is singular")
+        total = sum(y)
+        c = [Fraction(0)] * len(self.matrix)
+        for i, v in zip(free, y):
+            c[i] = v / total
+        return c
+
+
+def _common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+#: Rounds of the active-set method before it is declared stuck, a guard
+#: far above the few rounds that the 8-weight problems take.
+_ACTIVE_SET_ROUNDS = 1024
+
+
+def estimator_quadratic(
     expected: DistributionMatrix, settings: SettingsDistribution
-) -> np.ndarray:
-    """Matrix M of the second moment  E[T^2] = c^T M c  of the sampled
-    single-trial estimator under weights ``c`` over the 8 rewrites."""
+) -> EstimatorQuadratic:
+    """The estimator's second-moment quadratic for a CHSH-violating
+    ``expected`` matrix: one identification and one exact M, to minimize
+    and evaluate without rebuilding them (:func:`estimator_weights` and
+    :func:`estimator_objective` each build their own)."""
     sym = violated_symmetry(expected)
     if sym is None:
         raise NotApplicableError(
@@ -397,82 +494,55 @@ def _estimator_quadratic(
             "estimator weights need every setting pair sampled with "
             "positive probability"
         )
+    # Per cell read by some rewrite: its coefficient in each rewrite and
+    # the weight of its outer product, cell value over settings probability.
     signed = _variant_signed_cells(sym)
-    M = np.zeros((8, 8))
+    terms = []
     for row in range(4):
         for col in range(4):
-            s = np.zeros(8)
+            s = [0] * 8
             for v, cells in enumerate(signed):
                 for cell, sign in cells:
                     if cell == (row, col):
                         s[v] += sign
-            if not s.any():
-                continue
-            alpha = float(expected.entries[row][col] / settings.probs[row])
-            M += alpha * np.outer(s, s)
-    return M
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = np.nonzero(cond)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+            alpha = expected.entries[row][col] / settings.probs[row]
+            if alpha and any(s):
+                terms.append((alpha, s))
+    scale = math.lcm(*(alpha.denominator for alpha, _ in terms))
+    matrix = [[0] * 8 for _ in range(8)]
+    for alpha, s in terms:
+        a = alpha.numerator * (scale // alpha.denominator)
+        for i in range(8):
+            if s[i]:
+                for j in range(8):
+                    matrix[i][j] += a * s[i] * s[j]
+    return EstimatorQuadratic(sym, tuple(map(tuple, matrix)), scale)
 
 
 def estimator_objective(
     expected: DistributionMatrix,
     settings: SettingsDistribution,
     weights,
-) -> float:
-    """Second moment of the single-trial violation estimator under the
-    given convex weighting of the 8 rewrites (its variance up to the
+) -> Fraction:
+    """Exact second moment of the single-trial violation estimator under
+    the given convex weighting of the 8 rewrites (its variance up to the
     constant square of the mean)."""
-    M = _estimator_quadratic(expected, settings)
-    c = np.asarray([float(w) for w in weights])
-    return float(c @ M @ c)
+    return estimator_quadratic(expected, settings).objective(weights)
 
 
 def estimator_weights(
-    expected: DistributionMatrix,
-    settings: SettingsDistribution,
-    *,
-    tolerance: float = 1e-10,
-    max_iterations: int = 200_000,
-) -> tuple[float, ...]:
-    """Convex weights over the 8 rewrites minimizing estimator variance.
+    expected: DistributionMatrix, settings: SettingsDistribution
+) -> tuple[Fraction, ...]:
+    """Exact convex weights over the 8 rewrites minimizing estimator
+    variance.
 
     Every convex weighting yields the same expectation (one quarter of
     the CHSH violation), so minimizing the second moment minimizes the
-    variance.  Solved by projected gradient descent on the simplex with
-    backtracking line search, stopping when an accepted step improves
-    the objective by less than ``tolerance``.
+    variance: a quadratic program over the simplex with a rational
+    positive-definite M, solved exactly by
+    :meth:`EstimatorQuadratic.minimize`.
     """
-    M = _estimator_quadratic(expected, settings)
-    c = np.full(8, 1.0 / 8.0)
-    f = float(c @ M @ c)
-    step = 1.0
-    for _ in range(max_iterations):
-        grad = 2.0 * (M @ c)
-        while True:
-            candidate = _project_simplex(c - step * grad)
-            f_new = float(candidate @ M @ candidate)
-            if f_new <= f or step < 1e-18:
-                break
-            step *= 0.5
-        moved = float(np.abs(candidate - c).max())
-        improvement = f - f_new
-        c, f = candidate, f_new
-        step *= 1.3
-        if improvement < tolerance and moved < 1e-12:
-            return tuple(float(v) for v in c)
-    raise NonConvergenceError(
-        "projected gradient did not converge", best=tuple(float(v) for v in c)
-    )
+    return estimator_quadratic(expected, settings).minimize()
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,8 @@ def _cmd_kl_closest(args) -> int:
             else None
         ),
         "closest": _matrix_doc(res.closest),
+        "iterations": res.iterations,
+        "gap_bits": res.gap,
         "settings_source": source,
     }
     lines = [f"KL divergence to the closest local matrix: {float(res.distance):.12g} bits"]
@@ -396,6 +398,10 @@ def _cmd_kl_closest(args) -> int:
             f"  deterministic box {k}: weight {float(v):.12g}"
             for k, v in sorted(res.weights.items())
         ]
+        lines.append(
+            f"mirror descent: {res.iterations} iterations; at most "
+            f"{res.gap:.3g} bits above the minimum (Frank-Wolfe gap)"
+        )
     lines.append(f"settings source: {source}")
     return _print_report(args, "kl-closest", result, warnings, lines)
 
@@ -575,8 +581,7 @@ def _cmd_vertices(args) -> int:
 def _cmd_extremal_check(args) -> int:
     dm, _, warnings = _load_member(args.file)
     system = polytope.build_constraints(dm.scenario)
-    rows = [r.coeffs for r in polytope.active_rows(system, dm)]
-    rank = polytope.rank_exact(rows)
+    rank = polytope.active_rank(system, dm)
     extremal = rank == dm.scenario.num_cells
     result = {
         "extremal": extremal,
@@ -598,24 +603,30 @@ def _cmd_estimator(args) -> int:
         args.settings, file_settings, dm.scenario
     )
     warnings = warnings + settings_warnings
-    weights = chsh.estimator_weights(dm, settings)
-    second_moment = chsh.estimator_objective(dm, settings, weights)
-    sym = chsh.violated_symmetry(dm)
-    mean = float((chsh.chsh_value(dm, sym) - 2) / 4)
+    quadratic = chsh.estimator_quadratic(dm, settings)
+    weights = quadratic.minimize()
+    second_moment = quadratic.objective(weights)
+    sym = quadratic.symmetry
+    mean = (chsh.chsh_value(dm, sym) - 2) / 4
+    variance = second_moment - mean * mean
     result = {
         "symmetry": sym.index,
-        "weights": list(weights),
-        "mean": mean,
-        "second_moment": second_moment,
-        "variance": second_moment - mean * mean,
+        "weights": [float(w) for w in weights],
+        "weights_exact": [_fmt(w) for w in weights],
+        "mean": float(mean),
+        "second_moment": float(second_moment),
+        "variance": float(variance),
         "settings_source": source,
     }
     lines = [
         f"symmetry: {sym.index}",
         "variance-minimizing weights over the 8 single-cell rewrites:",
-    ] + [f"  variant {k + 1}: {w:.12g}" for k, w in enumerate(weights)] + [
-        f"estimator mean (quarter violation): {mean:.12g}",
-        f"estimator variance: {second_moment - mean * mean:.12g}",
+    ] + [
+        f"  variant {k + 1}: {float(w):.12g} ({_fmt(w)})"
+        for k, w in enumerate(weights)
+    ] + [
+        f"estimator mean (quarter violation): {float(mean):.12g}",
+        f"estimator variance: {float(variance):.12g}",
         f"settings source: {source}",
     ]
     return _print_report(args, "estimator", result, warnings, lines)

@@ -4,10 +4,13 @@ Total-variation distance over the conditional cells has a closed-form
 minimizer for n=2: spread the PR weight of the read-off decomposition
 uniformly over the 8 saturating deterministic boxes.  The distance then
 equals the PR weight itself.  Kullback-Leibler divergence (computed on
-joint distributions including the settings probabilities) has no closed
-form and is minimized numerically by mirror descent over deterministic-
-box weights; restricting to the 8 saturating boxes loses nothing, which
-is checked in the test suite against the full 16-box optimization.
+joint distributions including the settings probabilities), the
+statistical strength of a Bell test, has no closed form and is minimized
+numerically by mirror descent over deterministic-box weights, in plain
+floats on the query's positive cells gathered once per search; the
+Frank-Wolfe gap certifies how close the result is to the minimum.
+Restricting to the 8 saturating boxes loses nothing, which is checked in
+the test suite against the full 16-box optimization.
 
 Also here: :func:`face_projection`, the exact mixing coefficient that
 lands a combination of a violating matrix and a local matrix on the
@@ -24,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from .chained import chained_value, readoff_weights
 from .chsh import (
@@ -52,11 +53,19 @@ from .core import (
 class ClosestLocalResult:
     """A local matrix nearest to the query, the distance achieved, and
     the deterministic-box weights realizing it (``None`` for a local
-    query, which is its own closest point at distance 0)."""
+    query, which is its own closest point at distance 0).
+
+    The KL search also reports its mirror-descent ``iterations`` and its
+    Frank-Wolfe ``gap``: an upper bound on how far ``distance`` lies
+    above the minimum over the same boxes.  Both stay ``None`` for the
+    exact total-variation answer and for local queries.
+    """
 
     closest: DistributionMatrix
     distance: Fraction | float
     weights: Optional[Mapping[int, Fraction | float]]
+    iterations: Optional[int] = None
+    gap: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -133,99 +142,160 @@ def kl_divergence(
     return total
 
 
-def _ld_cell_array(indices: Sequence[int]) -> np.ndarray:
-    """0/1 array (len(indices), 16): deterministic-box support cells."""
-    rows = []
-    for i in indices:
-        m = ld_box(i).matrix()
-        rows.append([float(v) for row in m.entries for v in row])
-    return np.asarray(rows)
+@dataclass(frozen=True)
+class _KLProblem:
+    """KL divergence to mixtures of some boxes, reduced to the query's
+    positive cells: ``joint`` and ``q`` hold each such cell's joint weight
+    (settings probability times cell value) and cell value as floats;
+    ``supports`` holds, per box, the positions (in that cell list) of the
+    positive cells the box puts its mass on."""
+
+    joint: tuple[float, ...]
+    q: tuple[float, ...]
+    supports: tuple[tuple[int, ...], ...]
+
+    def mixture(self, weights: Sequence[float]) -> list[float]:
+        """The mixture's value on each positive cell."""
+        s = [0.0] * len(self.q)
+        for w, cells in zip(weights, self.supports):
+            for j in cells:
+                s[j] += w
+        return s
+
+    def objective(self, s: Sequence[float]) -> float:
+        if any(v <= 0 for v in s):
+            return math.inf
+        return math.fsum(
+            w * math.log2(qv / sv) for w, qv, sv in zip(self.joint, self.q, s)
+        )
+
+    def gradient(self, s: Sequence[float]) -> list[float]:
+        ratio = [w / sv for w, sv in zip(self.joint, s)]
+        return [
+            -sum(ratio[j] for j in cells) / _LN2 for cells in self.supports
+        ]
+
+
+_LN2 = math.log(2.0)
+
+
+def _kl_problem(
+    q: DistributionMatrix,
+    settings: SettingsDistribution,
+    ld_indices: Sequence[int],
+) -> _KLProblem:
+    positive = [
+        (4 * r + c, prob * v)
+        for r, (prob, row) in enumerate(zip(settings.probs, q.entries))
+        for c, v in enumerate(row)
+        if v > 0
+    ]
+    position = {cell: j for j, (cell, _) in enumerate(positive)}
+    cells = [v for row in q.entries for v in row]
+    supports = []
+    for i in ld_indices:
+        box = [v for row in ld_box(i).matrix().entries for v in row]
+        supports.append(
+            tuple(position[k] for k, v in enumerate(box) if v and k in position)
+        )
+    return _KLProblem(
+        tuple(float(w) for _, w in positive),
+        tuple(float(cells[k]) for k, _ in positive),
+        tuple(supports),
+    )
 
 
 def kl_objective(
     q: DistributionMatrix,
     settings: SettingsDistribution,
     ld_indices: Sequence[int],
-    weights,
+    weights: Sequence[float],
 ) -> float:
     """KL divergence from ``q`` to the mixture of the given boxes."""
-    D = _ld_cell_array(ld_indices)
-    x = np.asarray([float(w) for w in weights])
-    qcells = np.asarray([float(v) for row in q.entries for v in row])
-    sprobs = np.repeat(np.asarray([float(p) for p in settings.probs]), 4)
-    scells = x @ D
-    mask = qcells > 0
-    if np.any(scells[mask] <= 0):
-        return math.inf
-    return float(
-        np.sum(sprobs[mask] * qcells[mask] * np.log2(qcells[mask] / scells[mask]))
-    )
+    problem = _kl_problem(q, settings, ld_indices)
+    return problem.objective(problem.mixture([float(w) for w in weights]))
 
 
 def kl_gradient(
     q: DistributionMatrix,
     settings: SettingsDistribution,
     ld_indices: Sequence[int],
-    weights,
-) -> np.ndarray:
+    weights: Sequence[float],
+) -> list[float]:
     """Gradient of :func:`kl_objective` in the box weights."""
-    D = _ld_cell_array(ld_indices)
-    x = np.asarray([float(w) for w in weights])
-    qcells = np.asarray([float(v) for row in q.entries for v in row])
-    sprobs = np.repeat(np.asarray([float(p) for p in settings.probs]), 4)
-    scells = x @ D
-    mask = qcells > 0
-    ratio = np.zeros_like(qcells)
-    ratio[mask] = sprobs[mask] * qcells[mask] / scells[mask]
-    return -(D @ ratio) / math.log(2.0)
+    problem = _kl_problem(q, settings, ld_indices)
+    return problem.gradient(problem.mixture([float(w) for w in weights]))
 
 
 def kl_minimize(
     q: DistributionMatrix,
     settings: SettingsDistribution,
     ld_indices: Sequence[int],
-    start=None,
+    start: Optional[Sequence[float]] = None,
     *,
     relative_tolerance: float = 1e-12,
     max_iterations: int = 100_000,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[list[float], float, int]:
     """Minimize KL divergence over mixtures of the given boxes by mirror
     descent (multiplicative weight updates, which keep the iterate in
-    the open simplex).
+    the open simplex); returns ``(weights, divergence, iterations)``.
 
     Steps that fail to decrease the objective halve the step size; the
     run stops once an accepted step improves the objective by less than
     ``relative_tolerance`` in relative terms.  Hitting the iteration cap
     raises :class:`NonConvergenceError` with the best iterate attached.
+    The cells and box supports are gathered once, so each step costs a
+    few float operations per positive cell and box.
     """
+    problem = _kl_problem(q, settings, ld_indices)
     k = len(ld_indices)
     if start is None:
-        x = np.full(k, 1.0 / k)
+        x = [1.0 / k] * k
     else:
-        x = np.asarray([float(v) for v in start])
-        if np.any(x <= 0):
+        x = [float(v) for v in start]
+        if any(v <= 0 for v in x):
             raise PreconditionError("mirror descent needs a strictly positive start")
-        x = x / x.sum()
-    f = kl_objective(q, settings, ld_indices, x)
+        total = sum(x)
+        x = [v / total for v in x]
+    s = problem.mixture(x)
+    f = problem.objective(s)
     step = 1.0
     for iteration in range(1, max_iterations + 1):
-        g = kl_gradient(q, settings, ld_indices, x)
-        g = g - g.max()  # exp-normalization; shifts cancel on the simplex
+        g = problem.gradient(s)
+        top = max(g)  # exp-normalization; shifts cancel on the simplex
         while True:
-            y = x * np.exp(-step * g)
-            y = y / y.sum()
-            f_new = kl_objective(q, settings, ld_indices, y)
+            y = [v * math.exp(-step * (gv - top)) for v, gv in zip(x, g)]
+            total = sum(y)
+            y = [v / total for v in y]
+            s_new = problem.mixture(y)
+            f_new = problem.objective(s_new)
             if f_new <= f or step < 1e-18:
                 break
             step *= 0.5
         improvement = f - f_new
-        x, f = y, f_new
+        x, s, f = y, s_new, f_new
         step *= 1.5
         if improvement <= relative_tolerance * max(abs(f), 1e-30):
             return x, f, iteration
     raise NonConvergenceError(
         "mirror descent hit its iteration cap", best=(x, f, max_iterations)
     )
+
+
+def kl_gap(
+    q: DistributionMatrix,
+    settings: SettingsDistribution,
+    ld_indices: Sequence[int],
+    weights: Sequence[float],
+) -> float:
+    """Frank-Wolfe gap  g.x - min_i g_i  of :func:`kl_objective` at the
+    weights x, with g its gradient there.  The objective is convex, so
+    the gap bounds from above how far its value at x lies above its
+    minimum over mixtures of the same boxes.  Rounding can put the float
+    sum a few ulps below 0 at an exact minimizer; that reads as 0."""
+    x = [float(w) for w in weights]
+    g = kl_gradient(q, settings, ld_indices, x)
+    return max(0.0, math.fsum(gv * xv for gv, xv in zip(g, x)) - min(g))
 
 
 def kl_closest_local(
@@ -236,7 +306,10 @@ def kl_closest_local(
     optimizing over all 16 reaches the same divergence).
 
     Starts from the total-variation minimizer, whose weights are
-    strictly positive.  Local queries return themselves at distance 0.
+    strictly positive.  Reports the iteration count and the final
+    Frank-Wolfe gap (:func:`kl_gap`), which bounds the divergence's
+    excess over the minimum from above.  Local queries return themselves
+    at distance 0.
     """
     require_member(q, context="kl_closest_local")
     tv = tv_closest_local(q)
@@ -244,13 +317,16 @@ def kl_closest_local(
         return ClosestLocalResult(q, 0.0, None)
     indices = sorted(tv.weights)
     start = [tv.weights[i] for i in indices]
-    x, value, _ = kl_minimize(q, settings, indices, start)
-    exact = [Fraction(float(v)) for v in x]
+    x, _, iterations = kl_minimize(q, settings, indices, start)
+    gap = kl_gap(q, settings, indices, x)
+    exact = [Fraction(v) for v in x]
     total = sum(exact)
     exact = [v / total for v in exact]
     closest = mix([(ld_box(i), w) for i, w in zip(indices, exact)])
-    weights = {i: float(v) for i, v in zip(indices, x)}
-    return ClosestLocalResult(closest, kl_divergence(q, closest, settings), weights)
+    weights = dict(zip(indices, x))
+    return ClosestLocalResult(
+        closest, kl_divergence(q, closest, settings), weights, iterations, gap
+    )
 
 
 # ---------------------------------------------------------------------------

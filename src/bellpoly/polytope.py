@@ -14,7 +14,8 @@ over the other 4n cells ``y``; its vertices are the extreme rays of
 the homogenized cone ``{(t, y) : t >= 0, t x0 + N y >= 0}``, found by
 cutting the orthant ``t, y >= 0`` with the basis cells' rows one at a
 time.  No floating point is involved, and every vertex returned is
-re-certified by the rank test above.
+re-certified by the rank test above, computed as the number of zero
+cells plus the rank of the equalities on the support.
 """
 
 from __future__ import annotations
@@ -130,15 +131,25 @@ def active_rows(
     return active
 
 
-def _active_rank(system: ConstraintSystem, dm: DistributionMatrix) -> int:
-    return exactlin.rank([r.coeffs for r in active_rows(system, dm)])
+def active_rank(system: ConstraintSystem, dm: DistributionMatrix) -> int:
+    """Rank of :func:`active_rows` at ``dm``.
+
+    The tight nonnegativity rows are unit vectors on the zero cells, so
+    they contribute one each and clear their columns: the rank is the
+    number of zero cells plus the rank of the equality rows restricted
+    to the support, a 4n-row system over at most 8n columns.
+    """
+    cells = [v for row in dm.entries for v in row]
+    support = [k for k, v in enumerate(cells) if v != 0]
+    restricted = [[r.coeffs[k] for k in support] for r in system.equalities()]
+    return len(cells) - len(support) + exactlin.rank(restricted)
 
 
 def is_extremal(dm: DistributionMatrix) -> bool:
     """Whether a polytope member is a vertex: active rank equals 8n."""
     require_member(dm, context="is_extremal")
     system = build_constraints(dm.scenario)
-    return _active_rank(system, dm) == dm.scenario.num_cells
+    return active_rank(system, dm) == dm.scenario.num_cells
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +256,7 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
         vertices.append(DistributionMatrix(scenario, rows))
     vertices.sort(key=lambda dm: [v for row in dm.entries for v in row])
     for dm in vertices:
-        if validate(dm) or _active_rank(system, dm) != ncells:
+        if validate(dm) or active_rank(system, dm) != ncells:
             raise InvariantViolationError(
                 "enumeration produced a point that is not a vertex"
             )

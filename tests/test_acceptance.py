@@ -13,8 +13,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
-
 import bellpoly as bp
 from conftest import DATA_DIR, random_chained_mixture, random_nonlocal_222
 import oracles
@@ -198,12 +196,12 @@ def test_criterion_10_kl_minimization():
         step = 1e-7
         for _ in range(100):
             raw = [rng.randint(1, 30) for _ in saturating]
-            weights = np.array([r / sum(raw) for r in raw])
+            weights = [r / sum(raw) for r in raw]
             grad = bp.kl_gradient(pr1, UNIFORM_SETTINGS, saturating, weights)
             for i in range(len(saturating)):
-                up = weights.copy()
+                up = list(weights)
                 up[i] += step
-                down = weights.copy()
+                down = list(weights)
                 down[i] -= step
                 fd = (
                     bp.kl_objective(pr1, UNIFORM_SETTINGS, saturating, up)

@@ -1,9 +1,12 @@
 """CHSH symmetries, the canonical decomposition, replacement tables,
 four-term rewrites, and the estimator."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 import bellpoly as bp
 from bellpoly import NotApplicableError, PreconditionError
@@ -397,3 +400,129 @@ def test_estimator_favors_cheap_rewrites_under_skewed_settings():
     assert impl < uniform_obj - 1e-6
     grid_obj, _ = oracles.estimator_grid_oracle(pr1, skewed.probs)
     assert impl <= grid_obj + 1e-9
+
+
+def test_estimator_weights_are_exact_and_on_the_simplex(rng, uniform_settings):
+    for _ in range(10):
+        dm, _, _, _ = random_nonlocal_222(rng)
+        weights = bp.estimator_weights(dm, uniform_settings)
+        assert all(type(w) is F and w >= 0 for w in weights)
+        assert sum(weights) == 1
+
+
+def _dense_solve(rows, rhs):
+    """Gauss-Jordan elimination on Fractions; None for a singular matrix."""
+    n = len(rows)
+    a = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
+    return [row[-1] for row in a]
+
+
+def _brute_force_minimum(matrix):
+    """Least c^T M c over the simplex.  On each of the 255 supports S,
+    solve the KKT system  M_SS c_S = mu 1, sum(c_S) = 1,  and keep the
+    nonnegative solutions; the minimizer's own support is among them."""
+    best = None
+    for size in range(1, 9):
+        for support in itertools.combinations(range(8), size):
+            rows = [[matrix[i][j] for j in support] + [-1] for i in support]
+            rows.append([1] * size + [0])
+            solution = _dense_solve(rows, [0] * size + [1])
+            if solution is None or any(v < 0 for v in solution[:size]):
+                continue
+            c = dict(zip(support, solution))
+            value = sum(c[i] * matrix[i][j] * c[j] for i in support for j in support)
+            best = value if best is None else min(best, value)
+    return best
+
+
+@hyp_settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=1, max_value=10), min_size=4, max_size=4),
+)
+@example(987, [3, 6, 2, 1])  # one weight is 0 at the optimum
+@example(874, [9, 1, 8, 2])  # two are
+def test_estimator_weights_reach_the_brute_force_minimum(seed, raw):
+    dm, _, _, _ = random_nonlocal_222(random.Random(seed))
+    probs = tuple(F(r, sum(raw)) for r in raw)
+    settings = bp.SettingsDistribution(bp.SCENARIO_222, probs)
+    weights = bp.estimator_weights(dm, settings)
+    quadratic = bp.estimator_quadratic(dm, settings)
+    minimum = _brute_force_minimum(quadratic.matrix) / quadratic.scale
+    assert quadratic.objective(weights) == minimum
+    assert bp.estimator_objective(dm, settings, weights) == minimum
+    assert all(w >= 0 for w in weights) and sum(weights) == 1
+
+
+def _gram_plus_diagonal(rows, diagonal):
+    return tuple(
+        tuple(sum(r[i] * r[j] for r in rows) + (d if i == j else 0) for j in range(8))
+        for i, d in enumerate(diagonal)
+    )
+
+
+_SCALED_ENTRIES = st.tuples(
+    st.integers(min_value=-10, max_value=10), st.sampled_from((1, 1, 10))
+).map(lambda t: t[0] * t[1])
+
+
+@hyp_settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.lists(_SCALED_ENTRIES, min_size=8, max_size=8), min_size=1, max_size=8
+    ),
+    st.lists(st.sampled_from((1, 5, 50, 500)), min_size=8, max_size=8),
+)
+@example(  # a weight fixed at 0 on the way must be released again
+    [[30, -50, -5, -3, -5, -5, 60, 10], [7, 4, 6, 8, 1, -5, 40, 6],
+     [5, 50, 6, 4, 10, 70, 4, -3], [-50, -2, -1, 60, 60, 100, 8, -10],
+     [-4, 6, 9, 0, -10, -7, 80, -9], [8, -70, -6, -3, -9, -9, 1, -5],
+     [-10, -7, -10, -10, -2, -50, -50, -10]],
+    [1, 5, 5, 1, 1, 50, 1, 50],
+)
+@example(  # the ratio test must take the first weight to reach 0
+    [[6, 60, -4, 90, -60, 10, -1, -3], [7, 6, -9, -70, 2, -4, 1, 0],
+     [1, 5, -1, -60, 40, -4, 0, -7], [5, 1, 1, -6, -20, 10, 20, 0],
+     [90, 80, 0, 20, 100, -10, 90, -8], [-1, 5, -2, 4, -8, 0, -6, -7],
+     [-5, -80, 10, -100, 0, 9, 7, 50]],
+    [5, 50, 50, 5, 500, 1, 5, 5],
+)
+def test_active_set_method_reaches_the_brute_force_minimum(rows, diagonal):
+    # Any positive definite integer matrix, beyond those the estimator
+    # builds, whose optima rarely leave the first face or two.
+    matrix = _gram_plus_diagonal(rows, diagonal)
+    quadratic = bp.EstimatorQuadratic(bp.chsh_symmetry(1), matrix, 1)
+    weights = quadratic.minimize()
+    assert all(w >= 0 for w in weights) and sum(weights) == 1
+    assert quadratic.objective(weights) == _brute_force_minimum(matrix)
+
+
+def test_estimator_weights_meet_the_kkt_conditions_on_the_published_table(
+    empirical_path,
+):
+    # The three weights near 2e-5 are the exact optimum, not zeros that
+    # an iterative method stopped short of.
+    from bellpoly import cli
+
+    dm, _, _ = cli._load_member(str(empirical_path))
+    settings = bp.SettingsDistribution.uniform(bp.SCENARIO_222)
+    quadratic = bp.estimator_quadratic(dm, settings)
+    weights = quadratic.minimize()
+    gradient = [
+        sum(m * w for m, w in zip(row, weights)) for row in quadratic.matrix
+    ]
+    assert all(w > 0 for w in weights)
+    assert sum(weights) == 1
+    assert len(set(gradient)) == 1
+    small = sorted(weights)[:3]
+    assert all(F(1, 10**5) < w < F(3, 10**5) for w in small)

@@ -102,6 +102,23 @@ def test_module_entry_point(pr1_path):
     assert "symmetry 1: 4" in completed.stdout
 
 
+def test_import_leaves_numpy_unloaded():
+    src = Path(bp.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, bellpoly, bellpoly.cli; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert completed.returncode == 0
+    assert completed.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -267,6 +284,18 @@ def test_kl_closest_defaults_to_uniform_settings(capsys, pr1_path):
     assert report["result"]["settings_source"] == "uniform-default"
     assert any("uniform" in w for w in report["warnings"])
     assert report["result"]["divergence_bits"] == pytest.approx(0.4150374992788438, abs=1e-9)
+    assert report["result"]["iterations"] >= 1
+    assert 0 <= report["result"]["gap_bits"] <= 1e-12
+
+
+def test_kl_closest_reports_its_certificate(capsys, mixture_path, local_path):
+    code, out, _ = run_cli(capsys, "kl-closest", mixture_path)
+    assert code == 0
+    assert "bits above the minimum (Frank-Wolfe gap)" in out
+    code, report, _ = run_json(capsys, "kl-closest", local_path)
+    assert code == 0
+    assert report["result"]["iterations"] is None
+    assert report["result"]["gap_bits"] is None
 
 
 def test_kl_closest_settings_precedence(capsys, tmp_path, pr1_path):
@@ -457,9 +486,22 @@ def test_estimator_on_the_maximal_violation(capsys, pr1_path):
     result = report["result"]
     assert result["symmetry"] == 1
     assert result["weights"] == pytest.approx([0.125] * 8, abs=1e-9)
+    assert result["weights_exact"] == ["1/8"] * 8
     assert result["mean"] == pytest.approx(0.5, abs=1e-12)
     assert result["second_moment"] == pytest.approx(0.25, abs=1e-9)
     assert result["settings_source"] == "uniform-default"
+
+
+def test_estimator_on_the_published_table(capsys, empirical_path):
+    code, report, _ = run_json(capsys, "estimator", str(empirical_path))
+    assert code == 0
+    result = report["result"]
+    exact = [F(w) for w in result["weights_exact"]]
+    assert sum(exact) == 1 and all(w > 0 for w in exact)
+    assert result["weights"] == [float(w) for w in exact]
+    assert result["variance"] == pytest.approx(
+        result["second_moment"] - result["mean"] ** 2, rel=1e-9
+    )
 
 
 def test_estimator_rejects_local_input(capsys, local_path):

@@ -4,7 +4,6 @@ and projection onto the facet a violating matrix crosses."""
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import bellpoly as bp
@@ -210,7 +209,7 @@ def test_kl_rejects_mismatched_scenarios():
 
 def test_kl_objective_matches_divergence_of_the_mixture():
     pr1 = bp.as_matrix(bp.pr_box(1))
-    weights = np.array([0.5, 0.125, 0.125, 0.125, 0.125, 0.0, 0.0, 0.0])
+    weights = [0.5, 0.125, 0.125, 0.125, 0.125, 0.0, 0.0, 0.0]
     obj = bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, weights)
     mixture = bp.mix(
         [
@@ -229,12 +228,12 @@ def test_kl_gradient_matches_finite_differences(rng):
     step = 1e-7
     for _ in range(20):
         raw = [rng.randint(1, 20) for _ in SATURATING]
-        weights = np.array([r / sum(raw) for r in raw])
+        weights = [r / sum(raw) for r in raw]
         grad = bp.kl_gradient(pr1, UNIFORM_SETTINGS, SATURATING, weights)
         for i in range(len(SATURATING)):
-            bumped = weights.copy()
+            bumped = list(weights)
             bumped[i] += step
-            lowered = weights.copy()
+            lowered = list(weights)
             lowered[i] -= step
             fd = (
                 bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, bumped)
@@ -246,11 +245,11 @@ def test_kl_gradient_matches_finite_differences(rng):
 def test_kl_objective_is_convex_in_the_weights(rng):
     pr1 = bp.as_matrix(bp.pr_box(1))
     for _ in range(20):
-        a = np.array([rng.random() + 0.05 for _ in SATURATING])
-        b = np.array([rng.random() + 0.05 for _ in SATURATING])
-        a /= a.sum()
-        b /= b.sum()
-        mid = (a + b) / 2
+        a = [rng.random() + 0.05 for _ in SATURATING]
+        b = [rng.random() + 0.05 for _ in SATURATING]
+        a = [v / sum(a) for v in a]
+        b = [v / sum(b) for v in b]
+        mid = [(u + v) / 2 for u, v in zip(a, b)]
         left = bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, a)
         right = bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, b)
         middle = bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, mid)
@@ -266,14 +265,14 @@ def test_kl_minimize_solves_the_reference_problem():
     pr1 = bp.as_matrix(bp.pr_box(1))
     weights, value, iterations = bp.kl_minimize(pr1, UNIFORM_SETTINGS, SATURATING)
     assert value == pytest.approx(math.log2(4 / 3), abs=1e-9)
-    assert np.allclose(weights, 0.125, atol=1e-9)
+    assert weights == pytest.approx([0.125] * 8, abs=1e-9)
     assert iterations <= 100000
-    assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kl_minimize_is_start_independent():
     pr1 = bp.as_matrix(bp.pr_box(1))
-    skewed = np.array([0.65, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05])
+    skewed = [0.65, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05]
     _, from_uniform, _ = bp.kl_minimize(pr1, UNIFORM_SETTINGS, SATURATING)
     _, from_skewed, _ = bp.kl_minimize(
         pr1, UNIFORM_SETTINGS, SATURATING, start=skewed
@@ -297,7 +296,7 @@ def test_kl_minimize_improves_on_arbitrary_starts(rng):
     for _ in range(10):
         dm, _, _ = first_symmetry_violation(rng)
         raw = [rng.randint(1, 9) for _ in SATURATING]
-        start = np.array([r / sum(raw) for r in raw])
+        start = [r / sum(raw) for r in raw]
         before = bp.kl_objective(dm, UNIFORM_SETTINGS, SATURATING, start)
         _, value, _ = bp.kl_minimize(dm, UNIFORM_SETTINGS, SATURATING, start=start)
         assert value <= before + 1e-12
@@ -323,6 +322,40 @@ def test_kl_closest_local_agrees_with_a_grid_search():
     )
     assert res.distance <= grid_value + 1e-9
     assert grid_value - res.distance <= 1e-3
+
+
+def test_kl_closest_local_reports_its_frank_wolfe_gap(rng):
+    # The gap bounds the excess over the minimum, so no other mixture,
+    # the optimum over all 16 boxes included, may go below distance - gap.
+    full = tuple(range(1, 17))
+    for _ in range(10):
+        dm, _, _, _ = random_nonlocal_222(rng)
+        res = bp.kl_closest_local(dm, UNIFORM_SETTINGS)
+        assert res.iterations >= 1
+        assert 0 <= res.gap <= 1e-4
+        indices = sorted(res.weights)
+        weights = [res.weights[i] for i in indices]
+        assert res.gap == bp.kl_gap(dm, UNIFORM_SETTINGS, indices, weights)
+        _, complete, _ = bp.kl_minimize(dm, UNIFORM_SETTINGS, full)
+        assert complete >= res.distance - res.gap - 1e-12
+
+
+def test_kl_gap_vanishes_at_the_symmetric_optimum():
+    pr1 = bp.as_matrix(bp.pr_box(1))
+    res = bp.kl_closest_local(pr1, UNIFORM_SETTINGS)
+    assert res.gap == pytest.approx(0, abs=1e-12)
+    # away from the optimum the gap is at least the excess over it
+    skewed = [0.65] + [0.05] * 7
+    excess = bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, skewed) - res.distance
+    assert bp.kl_gap(pr1, UNIFORM_SETTINGS, SATURATING, skewed) >= excess > 0.1
+
+
+def test_kl_closest_local_certificate_is_absent_for_exact_answers(rng):
+    local = bp.kl_closest_local(random_local_222(rng), UNIFORM_SETTINGS)
+    assert local.iterations is None and local.gap is None
+    dm, _, _, _ = random_nonlocal_222(rng)
+    tv = bp.tv_closest_local(dm)
+    assert tv.iterations is None and tv.gap is None
 
 
 def test_kl_closest_is_at_most_the_tv_closest(rng):

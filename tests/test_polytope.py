@@ -3,6 +3,7 @@ active sets, extremality, and vertex enumeration."""
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -91,6 +92,25 @@ def test_active_rows_in_the_interior(rng):
     active = bp.active_rows(system, uniform)
     assert all(r.kind == "equality" for r in active)
     assert len(active) == 8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_active_rank_matches_the_rank_of_the_active_rows(n):
+    # zero cells plus the equalities' rank on the support, against the
+    # rank of every active row over all 8n columns
+    scenario = bp.Scenario(n)
+    system = bp.build_constraints(scenario)
+    boxes = [bp.as_matrix(b) for b in bp.enumerate_lds(scenario)]
+    boxes += [bp.as_matrix(b) for b in bp.enumerate_gprs(scenario)]
+    rng = random.Random(n)
+    points = rng.sample(boxes, 12)
+    for size in (2, 3, 4, 12):
+        chosen = rng.sample(boxes, size)
+        weights = [F(rng.randint(1, 9)) for _ in chosen]
+        points.append(bp.mix([(b, w / sum(weights)) for b, w in zip(chosen, weights)]))
+    for dm in points:
+        full = bp.rank_exact([r.coeffs for r in bp.active_rows(system, dm)])
+        assert bp.active_rank(system, dm) == full
 
 
 # ---------------------------------------------------------------------------
