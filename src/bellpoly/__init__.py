@@ -47,6 +47,7 @@ from .chsh import (
     SATURATING_SET_1,
     VARIANT_CELLS,
     ChshSymmetry,
+    EstimatorQuadratic,
     all_chsh_values,
     castout_mixture,
     castout_replacement,
@@ -55,7 +56,6 @@ from .chsh import (
     chsh_value,
     decompose_222,
     decompose_local_222,
-    EstimatorQuadratic,
     estimator_objective,
     estimator_quadratic,
     estimator_weights,
