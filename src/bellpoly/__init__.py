@@ -17,14 +17,16 @@ order, columns ``++ +0 0+ 00``), and provides:
 * distance measures to the local polytope (total variation exactly,
   Kullback-Leibler numerically, with a Frank-Wolfe gap certificate) and
   a face projection,
-* detector-efficiency transforms with exact critical-threshold bisection,
+* detector-efficiency transforms and exact critical thresholds (a
+  rational or a quadratic surd),
 * vertex enumeration with exact extremality certificates.
 
 All polytope geometry is exact (:class:`fractions.Fraction` cells, with
 ``gmpy2`` transparently accelerating the linear algebra when present);
-floats appear only in the KL optimizer, in the value the efficiency
-bisection returns, and as requested renderings.  Beyond the optional
-``gmpy2`` the package needs nothing outside the standard library.
+floats appear only in the KL optimizer and as requested renderings,
+such as :func:`critical_efficiency`'s correctly rounded threshold.
+Beyond the optional ``gmpy2`` the package needs nothing outside the
+standard library.
 """
 
 from .chained import (
@@ -74,6 +76,7 @@ from .core import (
     COLUMNS,
     CORRELATED_ROW,
     SCENARIO_222,
+    UNIT_ROWS,
     BellError,
     CapacityError,
     Decomposition,
@@ -107,7 +110,13 @@ from .core import (
     rows_as_222,
     validate,
 )
-from .efficiency import EfficiencyParams, apply_efficiency, critical_efficiency
+from .efficiency import (
+    EfficiencyParams,
+    EfficiencyThreshold,
+    apply_efficiency,
+    critical_efficiency,
+    critical_efficiency_exact,
+)
 from .fileio import (
     dump_distribution,
     dumps_distribution,

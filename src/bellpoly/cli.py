@@ -446,46 +446,38 @@ def _cmd_eta(args) -> int:
     return _print_report(args, "eta", result, warnings, lines)
 
 
-def _certificate(dm: DistributionMatrix, threshold: float) -> Optional[dict]:
-    """Exact boundary certificate at the nearest small-denominator
-    rational: transform there and check the locality margin is exactly 0."""
-    candidate = Fraction(threshold).limit_denominator(10**6)
-    if not 0 < candidate < 1:
+def _certificate(
+    dm: DistributionMatrix, threshold: efficiency.EfficiencyThreshold
+) -> Optional[dict]:
+    """The boundary fact a rational threshold states.  The threshold
+    routine checked exactly that the violated box's functional meets its
+    local bound there; an irrational threshold is its own certificate."""
+    if threshold.q != 0:
         return None
-    transformed = efficiency.apply_efficiency(
-        dm, efficiency.EfficiencyParams.symmetric(candidate)
-    )
+    eta = _fmt(threshold.p)
     if dm.scenario.n == 2:
-        margin = max(chsh.all_chsh_values(transformed)) - 2
-        statement = f"max CHSH value at eta={_fmt(candidate)} is exactly 2"
+        statement = f"max CHSH value at eta={eta} is exactly 2"
     else:
-        values = [
-            chained.chained_value(transformed, g)
-            for g in enumerate_gprs(dm.scenario)
-        ]
-        margin = 1 - min(values)
-        statement = (
-            f"minimal chained functional value at eta={_fmt(candidate)} is exactly 1"
-        )
-    if margin != 0:
-        return None
-    return {"eta": _fmt(candidate), "statement": statement}
+        statement = f"minimal chained functional value at eta={eta} is exactly 1"
+    return {"eta": eta, "statement": statement}
 
 
 def _cmd_eta_critical(args) -> int:
     dm, _, warnings = _load_member(args.file)
-    threshold = efficiency.critical_efficiency(dm)
+    threshold = efficiency.critical_efficiency_exact(dm)
     if threshold is None:
         result = {"critical_efficiency": None}
         lines = ["matrix is local at full efficiency; no critical threshold"]
         return _print_report(args, "eta-critical", result, warnings, lines)
+    value = float(threshold)
     certificate = _certificate(dm, threshold)
     result = {
-        "critical_efficiency": threshold,
-        "display": f"{threshold:.9f}",
+        "critical_efficiency": value,
+        "critical_efficiency_exact": str(threshold),
+        "display": f"{value:.9f}",
         "certificate": certificate,
     }
-    lines = [f"critical efficiency: {threshold:.9f}"]
+    lines = [f"critical efficiency: {value:.9f}", f"exact: {threshold}"]
     if certificate:
         lines.append(f"exact certificate: {certificate['statement']}")
     return _print_report(args, "eta-critical", result, warnings, lines)
@@ -688,7 +680,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="efficiency for Bob's side (defaults to --value)")
 
     add("eta-critical", _cmd_eta_critical,
-        "bisect the symmetric efficiency at which nonlocality is lost")
+        "exact symmetric efficiency at which nonlocality is lost")
 
     p = add("chained-value", _cmd_chained_value,
             "chained functional value against a generalized PR box")

@@ -104,6 +104,9 @@ ANTICORRELATED = "A"
 CORRELATED_ROW = (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2))
 #: Row for a perfectly anticorrelated setting pair.
 ANTICORRELATED_ROW = (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0))
+#: Deterministic rows: ``UNIT_ROWS[c]`` puts probability 1 in column c.
+#: Every deterministic box's matrix shares these row objects.
+UNIT_ROWS = tuple(tuple(Fraction(int(c == k)) for k in range(4)) for c in range(4))
 
 RationalLike = Union[Fraction, int, str, float]
 
@@ -215,10 +218,16 @@ def _freeze_entries(scenario: Scenario, entries) -> tuple[tuple[Fraction, ...], 
         )
     frozen = []
     for row in rows:
-        cells = tuple(as_fraction(v) for v in row)
-        if len(cells) != 4:
-            raise ShapeError(f"expected 4 columns per row, got {len(cells)}")
-        frozen.append(cells)
+        # A row that is already frozen is kept, so matrices share rows.
+        if not (
+            type(row) is tuple
+            and len(row) == 4
+            and all(isinstance(v, Fraction) for v in row)
+        ):
+            row = tuple(as_fraction(v) for v in row)
+            if len(row) != 4:
+                raise ShapeError(f"expected 4 columns per row, got {len(row)}")
+        frozen.append(row)
     return tuple(frozen)
 
 
@@ -301,12 +310,13 @@ class LocalDeterministic:
         return COLUMN_INDEX[(self.a_assign[alice - 1], self.b_assign[bob - 1])]
 
     def matrix(self) -> DistributionMatrix:
-        rows = []
-        for i, j in self.scenario.setting_pairs():
-            row = [Fraction(0)] * 4
-            row[self.outcome_column(i, j)] = Fraction(1)
-            rows.append(tuple(row))
-        return DistributionMatrix(self.scenario, tuple(rows))
+        return DistributionMatrix(
+            self.scenario,
+            tuple(
+                UNIT_ROWS[self.outcome_column(i, j)]
+                for i, j in self.scenario.setting_pairs()
+            ),
+        )
 
 
 @dataclass(frozen=True)

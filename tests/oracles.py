@@ -393,8 +393,11 @@ def quadratic_threshold(a: Fraction, b: Fraction, c: Fraction) -> Fraction | flo
         if root is not None:
             roots.extend([(-b - root) / (2 * a), (-b + root) / (2 * a)])
         else:
+            # The root without cancellation first; the other from the
+            # product of the roots, (c - 2) / a.
             fd = math.sqrt(float(disc))
-            roots.extend([(-float(b) - fd) / (2 * float(a)), (-float(b) + fd) / (2 * float(a))])
+            big = (-float(b) - math.copysign(fd, float(b))) / (2 * float(a))
+            roots.extend([big, float(c - 2) / (float(a) * big)])
     inside = [r for r in roots if 0 < r <= 1]
     if not inside:
         return None

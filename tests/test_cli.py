@@ -4,6 +4,7 @@ auto-projection, and determinism."""
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 
 import bellpoly as bp
 from bellpoly import cli, fileio
+from conftest import random_nonlocal_222
 
 F = Fraction
 
@@ -357,6 +359,36 @@ def test_eta_critical_of_pr1(capsys, pr1_path):
     assert result["display"] == "0.666666667"
     assert result["certificate"]["eta"] == "2/3"
     assert "exactly 2" in result["certificate"]["statement"]
+
+
+def test_eta_critical_reports_the_exact_threshold(capsys, tmp_path, chained_path):
+    code, report, _ = run_json(capsys, "eta-critical", chained_path)
+    assert code == 0
+    result = report["result"]
+    exact = bp.critical_efficiency_exact(bp.load_distribution(chained_path)[0])
+    assert exact.q == 0 and result["critical_efficiency_exact"] == str(exact)
+    assert result["critical_efficiency"] == float(exact)
+    assert result["certificate"] == {
+        "eta": str(exact),
+        "statement": f"minimal chained functional value at eta={exact} is exactly 1",
+    }
+    # An irrational threshold is reported as a surd, with no certificate.
+    rng = random.Random(5)
+    dm = next(
+        dm
+        for dm in (random_nonlocal_222(rng)[0] for _ in range(20))
+        if bp.critical_efficiency_exact(dm).q != 0
+    )
+    exact = bp.critical_efficiency_exact(dm)
+    path = write_doc(tmp_path, "surd.json", dm)
+    code, report, _ = run_json(capsys, "eta-critical", path)
+    assert code == 0
+    assert report["result"]["critical_efficiency_exact"] == str(exact)
+    assert report["result"]["certificate"] is None
+    code, out, _ = run_cli(capsys, "eta-critical", path)
+    assert code == 0
+    assert f"exact: {exact}" in out.splitlines()
+    assert "certificate" not in out
 
 
 def test_eta_critical_of_local_input(capsys, local_path):

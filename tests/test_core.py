@@ -128,6 +128,29 @@ def test_matrix_constructor_rejects_wrong_shape():
         bp.matrix_222([[F(1, 4)] * 3] * 4)
 
 
+def test_matrix_constructor_freezes_rows_to_fraction_tuples():
+    dm = bp.DistributionMatrix(
+        bp.SCENARIO_222, [["1/2", 0, 0, "0.5"], [1, 0, 0, 0], (0, 1, 0, 0), [F(1, 4)] * 4]
+    )
+    assert type(dm.entries) is tuple
+    assert all(type(row) is tuple for row in dm.entries)
+    assert all(type(v) is F for row in dm.entries for v in row)
+    assert dm.entries[0] == (F(1, 2), F(0), F(0), F(1, 2))
+    frozen = (F(1, 3), F(1, 6), F(1, 6), F(1, 3))
+    again = bp.DistributionMatrix(bp.SCENARIO_222, [frozen, frozen, list(frozen), frozen])
+    assert again.entries[0] is frozen and again.entries[2] is not frozen
+    assert again.entries[2] == frozen
+
+
+def test_deterministic_boxes_share_their_unit_rows():
+    assert [row.index(1) for row in bp.UNIT_ROWS] == [0, 1, 2, 3]
+    assert all(sorted(row) == [0, 0, 0, 1] for row in bp.UNIT_ROWS)
+    for scenario in (bp.SCENARIO_222, bp.Scenario(3)):
+        for box in bp.enumerate_lds(scenario):
+            for (i, j), row in zip(scenario.setting_pairs(), box.matrix().entries):
+                assert row is bp.UNIT_ROWS[box.outcome_column(i, j)]
+
+
 def test_validate_passes_every_catalog_box():
     for k in range(1, 9):
         assert bp.validate(bp.as_matrix(bp.pr_box(k))) == []

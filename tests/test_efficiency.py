@@ -1,13 +1,21 @@
 """Detection-efficiency maps: undetected outcomes fold into the zero
 outcome, and every CHSH violation dies at a computable threshold."""
 
+import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 import bellpoly as bp
-from bellpoly import PreconditionError
-from conftest import random_local_222, random_nonlocal_222, random_nonsignaling_222
+from bellpoly import EfficiencyThreshold, PreconditionError
+from conftest import (
+    random_chained_mixture,
+    random_local_222,
+    random_nonlocal_222,
+    random_nonsignaling_222,
+)
 import oracles
 
 F = Fraction
@@ -189,6 +197,12 @@ def test_critical_efficiency_matches_the_quadratic_root(rng):
         a, b, c = oracles.efficiency_quadratic(dm, index)
         root = oracles.quadratic_threshold(a, b, c)
         assert eta == pytest.approx(float(root), abs=1e-9)
+        exact = bp.critical_efficiency_exact(dm)
+        if isinstance(root, Fraction):
+            assert exact == root
+        else:
+            assert exact.q != 0
+            assert abs(float(exact) - root) <= 1e-15
 
 
 def test_threshold_restores_locality(rng):
@@ -216,3 +230,71 @@ def test_two_thirds_kills_every_violation(rng):
         assert bp.is_local_222(image)
         eta = bp.critical_efficiency(dm)
         assert eta >= 2 / 3 - 1e-9
+
+
+def test_critical_efficiency_exact_of_pr1_is_two_thirds():
+    threshold = bp.critical_efficiency_exact(bp.as_matrix(bp.pr_box(1)))
+    assert threshold == F(2, 3)
+    assert threshold.q == 0 and str(threshold) == "2/3"
+    assert bp.critical_efficiency(bp.as_matrix(bp.pr_box(1))) == 2 / 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_canonical_box_threshold_is_exact(n):
+    box = bp.canonical_gpr(bp.Scenario(n))
+    assert bp.critical_efficiency_exact(bp.as_matrix(box)) == F(2 * n - 2, 2 * n - 1)
+    assert bp.critical_efficiency_exact(bp.as_matrix(bp.enumerate_lds(bp.Scenario(n))[0])) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exact_threshold_separates_local_from_nonlocal(n):
+    # 2^-40 is far below a float's resolution at the root, so only an
+    # exact threshold lands between the two probes.
+    rng = random.Random(7000 + n)
+    gap = F(1, 2**40)
+    surds = 0
+    for _ in range(12 if n == 2 else 4):
+        dm = random_chained_mixture(rng, bp.Scenario(n))[0]
+        box = bp.identify_gpr(dm)
+        threshold = bp.critical_efficiency_exact(dm)
+        surds += threshold.q != 0
+        below, above = threshold.p - gap, threshold.p + gap
+        if threshold.q != 0:
+            guess = F(float(threshold))
+            below, above = guess - gap, guess + gap
+        assert below < threshold < above and not below >= threshold
+        assert bp.identify_gpr(bp.apply_efficiency(dm, symmetric(below))) is None
+        assert bp.identify_gpr(bp.apply_efficiency(dm, symmetric(min(above, F(1))))) == box
+    assert surds > 0
+
+
+def test_efficiency_threshold_arithmetic():
+    root2 = EfficiencyThreshold(0, 1, 2)
+    assert F(141421356237, 10**11) < root2 < F(141421356238, 10**11)
+    assert root2 > 1 and root2 >= 1 and root2 <= 2 and not root2 < 1
+    assert root2 != F(1414213562373095, 10**15)
+    assert float(root2) == math.sqrt(2)
+    assert EfficiencyThreshold(1, 1, 8) == EfficiencyThreshold(1, 2, 2)
+    assert hash(EfficiencyThreshold(1, 1, 8)) == hash(EfficiencyThreshold(1, 2, 2))
+    assert EfficiencyThreshold(1, 1, 2) != EfficiencyThreshold(1, -1, 2)
+    assert str(EfficiencyThreshold(F(1, 2), F(-1, 3), 20)) == "1/2 - 2/3*sqrt(5)"
+    # A perfect-square radicand folds into the rational part.
+    folded = EfficiencyThreshold(F(1, 2), F(1, 3), 9)
+    assert folded == F(3, 2) and folded.q == 0 and folded.r == 0
+    assert hash(folded) == hash(F(3, 2)) and str(folded) == "3/2"
+    with pytest.raises(PreconditionError):
+        EfficiencyThreshold(0, 1, -2)
+
+
+def test_efficiency_threshold_rounds_correctly():
+    rng = random.Random(11)
+    for _ in range(200):
+        p = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        q = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        r = rng.randint(2, 10**12)
+        threshold = EfficiencyThreshold(p, q, r)
+        with localcontext() as ctx:
+            ctx.prec = 120
+            value = Decimal(p.numerator) / p.denominator
+            value += Decimal(q.numerator) / q.denominator * Decimal(r).sqrt()
+        assert float(threshold) == float(value)
