@@ -193,9 +193,9 @@ def violated_symmetry(dm: DistributionMatrix) -> ChshSymmetry | None:
 
     The symmetry of the PR box :func:`~bellpoly.chained.identify_gpr`
     finds: a value above 2 is a chained value below 1.  Two simultaneous
-    violations mean the input was not a polytope member.
+    violations mean the input was not a polytope member; identify_gpr
+    rejects non-members with :class:`PreconditionError`.
     """
-    require_member(dm, context="violated_symmetry")
     _require_222(dm, "CHSH functionals are")
     g = identify_gpr(dm)
     return None if g is None else chsh_symmetry(_PR_INDEX[g])
@@ -262,7 +262,6 @@ def decompose_222(dm: DistributionMatrix) -> Decomposition:
 
     The PR weight is half the violation: value = 2 + 2 * pr_weight.
     """
-    require_member(dm, context="decompose_222")
     _require_222(dm, "CHSH functionals are")
     return decompose_chained(dm)
 

@@ -75,10 +75,6 @@ def _digest(path: str) -> Optional[dict]:
         return {"path": path}
 
 
-def _matrix_doc(dm: DistributionMatrix) -> dict:
-    return fileio.dump_distribution(dm)
-
-
 def _decomposition_doc(dec: Decomposition) -> dict:
     doc: dict = {"local_weight": _num(dec.local_weight), "terms": []}
     if dec.pr_term is not None:
@@ -142,10 +138,6 @@ def _decomposition_lines(dec: Decomposition) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _load_raw(path: str):
-    return fileio.load_distribution(path)
-
-
 def _project_member(
     dm: DistributionMatrix,
 ) -> tuple[DistributionMatrix, list[str]]:
@@ -191,7 +183,7 @@ def _project_member(
 
 
 def _load_member(path: str):
-    dm, settings, = _load_raw(path)
+    dm, settings = fileio.load_distribution(path)
     member, warnings = _project_member(dm)
     return member, settings, warnings
 
@@ -207,7 +199,8 @@ def _load_settings(
         try:
             with open(spec, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers undecodable bytes and malformed JSON.
             raise ShapeError(f"cannot read settings from {spec}: {exc}") from exc
         if isinstance(data, dict):
             data = data.get("settings_probs")
@@ -234,7 +227,7 @@ def _load_settings(
 
 
 def _cmd_validate(args) -> int:
-    dm, _ = _load_raw(args.file)
+    dm, _ = fileio.load_distribution(args.file)
     violations = validate(dm)
     result = {
         "valid": not violations,
@@ -306,7 +299,7 @@ def _cmd_eberhard(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    dm, _ = _load_raw(args.file)
+    dm, _ = fileio.load_distribution(args.file)
     warnings: list[str] = []
     residual = None
     if dm.scenario.n == 2:
@@ -356,7 +349,7 @@ def _cmd_tv_closest(args) -> int:
             if res.weights is not None
             else None
         ),
-        "closest": _matrix_doc(res.closest),
+        "closest": fileio.dump_distribution(res.closest),
     }
     lines = [f"total-variation distance to the local polytope: {_fmt(res.distance)} ({float(res.distance)})"]
     if res.weights is None:
@@ -385,7 +378,7 @@ def _cmd_kl_closest(args) -> int:
             if res.weights is not None
             else None
         ),
-        "closest": _matrix_doc(res.closest),
+        "closest": fileio.dump_distribution(res.closest),
         "iterations": res.iterations,
         "gap_bits": res.gap,
         "settings_source": source,
@@ -566,7 +559,7 @@ def _cmd_vertices(args) -> int:
             )
         lines = [f"{len(vertices)} vertices; catalogs match"] + lines[1:]
     if args.list:
-        result["vertices"] = [_matrix_doc(dm) for dm in vertices]
+        result["vertices"] = [fileio.dump_distribution(dm) for dm in vertices]
     return _print_report(args, "vertices", result, [], lines)
 
 

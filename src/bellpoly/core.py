@@ -259,6 +259,11 @@ class DistributionMatrix:
         return iter(self.entries)
 
 
+#: Canonical row i is listed at position ``_ALICE_MAJOR_TO_CANONICAL[i]``
+#: of the Alice-major order ab, ab', a'b, a'b'.
+_ALICE_MAJOR_TO_CANONICAL = (0, 2, 3, 1)  # a1b1=ab, a2b1=a'b, a2b2=a'b', a1b2=ab'
+
+
 def matrix_222(rows_222) -> DistributionMatrix:
     """Build an n=2 matrix from rows given in the order ab, ab', a'b, a'b'.
 
@@ -268,17 +273,16 @@ def matrix_222(rows_222) -> DistributionMatrix:
     rows = tuple(rows_222)
     if len(rows) != 4:
         raise ShapeError(f"expected 4 rows, got {len(rows)}")
-    # Canonical row -> position in the Alice-major listing.
-    order = (0, 2, 3, 1)  # a1b1=ab, a2b1=a'b, a2b2=a'b', a1b2=ab'
-    return DistributionMatrix(SCENARIO_222, tuple(rows[k] for k in order))
+    return DistributionMatrix(
+        SCENARIO_222, tuple(rows[k] for k in _ALICE_MAJOR_TO_CANONICAL)
+    )
 
 
 def rows_as_222(dm: DistributionMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of an n=2 matrix reordered to ab, ab', a'b, a'b'."""
     if dm.scenario.n != 2:
         raise ShapeError("Alice-major row order is defined for n=2 only")
-    order = (0, 3, 1, 2)  # ab=a1b1, ab'=a1b2, a'b=a2b1, a'b'=a2b2
-    return tuple(dm.entries[k] for k in order)
+    return tuple(dm.entries[_ALICE_MAJOR_TO_CANONICAL.index(k)] for k in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +420,6 @@ _LD_ASSIGNMENTS = (
     "0++0",
     "0+0+",
 )
-
-_ALICE_MAJOR_TO_CANONICAL = (0, 2, 3, 1)  # canonical row i <- listing position
-
 
 def _pr_from_types_222(types: str) -> GeneralizedPRBox:
     canonical = tuple(types[k] for k in _ALICE_MAJOR_TO_CANONICAL)

@@ -34,7 +34,6 @@ from .core import (
     PreconditionError,
     RationalLike,
     as_fraction,
-    require_member,
 )
 
 
@@ -168,7 +167,6 @@ def critical_efficiency_exact(dm: DistributionMatrix) -> EfficiencyThreshold | N
     1/2 and 1.  The threshold is f's largest root in [0, 1); f(0) >= 0,
     f(1) < 0 and f(root) = 0 are checked exactly.
     """
-    require_member(dm, context="critical_efficiency")
     g = identify_gpr(dm)
     if g is None:
         return None

@@ -24,6 +24,7 @@ pair must appear exactly once, labelled like ``a2b1`` — or as plain
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -59,6 +60,8 @@ def loads_distribution(
             document = json.loads(document)
         except ValueError as exc:  # also integer literals beyond int's digit limit
             raise ShapeError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ShapeError("invalid JSON: nested too deeply") from exc
     if not isinstance(document, dict):
         raise ShapeError("distribution document must be a JSON object")
     if "n" not in document:
@@ -111,14 +114,20 @@ def load_distribution(
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ShapeError(f"cannot read {path}: {exc}") from exc
     return loads_distribution(text)
 
 
 def format_rational(value: Fraction) -> str:
+    """``"p/q"``, or ``"p"`` for an integer, exact at any size."""
     value = as_fraction(value)
-    return str(value.numerator) if value.denominator == 1 else str(value)
+    # Decimal renders an int of any size exactly; str(int) refuses one
+    # beyond the interpreter's int-to-str digit limit (4300 by default).
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 def dump_distribution(

@@ -14,11 +14,14 @@ the test suite against the full 16-box optimization.
 
 Also here: :func:`face_projection`, the exact mixing coefficient that
 lands a combination of a violating matrix and a local matrix on the
-saturating face of the violated CHSH inequality.
+saturating face of the violated CHSH inequality.  Both of its weights
+are read off chained values against the violated box; its one exact
+linear program is the final check that the mixture lies on the face.
 
-Each function identifies the violated box once, through
-:func:`~bellpoly.chsh.violated_symmetry` (the chained engine at n=2);
-the PR weight is 1 minus that box's chained value.
+Each function identifies the violated box once per input matrix,
+through :func:`~bellpoly.chsh.violated_symmetry` (the chained engine at
+n=2), and that identification is the only membership check; the PR
+weight is 1 minus that box's chained value.
 """
 
 from __future__ import annotations
@@ -29,12 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .chained import chained_value, readoff_weights
-from .chsh import (
-    decompose_local_222,
-    ld_index_of,
-    ld_mixture_weights,
-    violated_symmetry,
-)
+from .chsh import ld_index_of, ld_mixture_weights, violated_symmetry
 from .core import (
     DistributionMatrix,
     InvariantViolationError,
@@ -45,7 +43,6 @@ from .core import (
     ld_box,
     mix,
     pr_box,
-    require_member,
 )
 
 
@@ -92,7 +89,6 @@ def tv_closest_local(q: DistributionMatrix) -> ClosestLocalResult:
     closest, at distance exactly r.  Local queries return themselves at
     distance 0.
     """
-    require_member(q, context="tv_closest_local")
     sym = violated_symmetry(q)
     if sym is None:
         return ClosestLocalResult(q, Fraction(0), None)
@@ -311,7 +307,6 @@ def kl_closest_local(
     excess over the minimum from above.  Local queries return themselves
     at distance 0.
     """
-    require_member(q, context="kl_closest_local")
     tv = tv_closest_local(q)
     if tv.weights is None:
         return ClosestLocalResult(q, 0.0, None)
@@ -339,15 +334,17 @@ def face_projection(
 ) -> tuple[Fraction, DistributionMatrix]:
     """Mix a violating matrix with a local one onto the saturating face.
 
-    With r the PR weight of ``q`` and n the weight ``s_local`` puts on
-    boxes outside the violated symmetry's saturating set, the coefficient
-    lam = 2n / (2n + r) makes  lam q + (1 - lam) s_local  an exact convex
-    combination of the 8 saturating boxes: the PR mass lam r is consumed
-    by casting it out against the outside-boxes' mass (1 - lam) n at the
-    2-to-1 ratio of the cast-out identity.  Returns ``(lam, mixture)``.
+    Let g be the PR box of the violated symmetry and r = 1 - (chained
+    value of ``q`` against g), its PR weight.  Every deterministic box
+    puts 1 in g's zero cells if it saturates the symmetry and 3 if it
+    does not, so any local decomposition of ``s_local`` has the same
+    weight o = (chained value of ``s_local`` - 1) / 2 outside the
+    saturating set.  The coefficient lam = 2o / (2o + r) makes
+    lam q + (1 - lam) s_local  an exact convex combination of the 8
+    saturating boxes: the PR mass lam r is consumed by casting it out
+    against the outside boxes' mass (1 - lam) o at the 2-to-1 ratio of
+    the cast-out identity.  Returns ``(lam, mixture)``.
     """
-    require_member(q, context="face_projection")
-    require_member(s_local, context="face_projection")
     sym = violated_symmetry(q)
     if sym is None:
         raise NotApplicableError(
@@ -355,16 +352,9 @@ def face_projection(
         )
     if violated_symmetry(s_local) is not None:
         raise PreconditionError("second argument must be a local matrix")
-    s_dec = decompose_local_222(s_local)
-    outside = sum(
-        (
-            w
-            for box, w in s_dec.ld_terms
-            if ld_index_of(box.matrix()) not in sym.saturating_set
-        ),
-        Fraction(0),
-    )
-    r = 1 - chained_value(q, pr_box(sym.index))
+    g = pr_box(sym.index)
+    outside = (chained_value(s_local, g) - 1) / 2
+    r = 1 - chained_value(q, g)
     lam = 2 * outside / (2 * outside + r)
     projected = mix([(q, lam), (s_local, 1 - lam)])
     if ld_mixture_weights(projected, sorted(sym.saturating_set)) is None:

@@ -27,6 +27,7 @@ from typing import Literal, Sequence
 
 from . import exactlin
 from .core import (
+    COLUMNS,
     CapacityError,
     DistributionMatrix,
     InvariantViolationError,
@@ -95,7 +96,6 @@ def build_constraints(scenario: Scenario) -> ConstraintSystem:
                     f"no-signaling {side}{setting}",
                 )
             )
-    from .core import COLUMNS  # local import to avoid a cycle at module load
 
     for r in range(scenario.num_rows):
         for c in range(4):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -575,6 +576,55 @@ def test_invalid_json_is_malformed_input(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "decompose", str(path))
     assert code == 2
+
+
+def test_undecodable_document_is_malformed_input(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error (malformed input):") and err.count("\n") == 1
+
+
+def test_deeply_nested_document_is_malformed_input(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error (malformed input):") and err.count("\n") == 1
+
+
+def test_undecodable_settings_file_is_malformed_input(capsys, tmp_path, pr1_path):
+    settings = tmp_path / "settings.json"
+    settings.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "kl-closest", pr1_path, "--settings", settings)
+    assert (code, out) == (2, "")
+    assert err.startswith("error (malformed input):") and err.count("\n") == 1
+
+
+def test_chained_value_renders_rationals_beyond_the_int_digit_limit(capsys, tmp_path):
+    # Rounding each cell of a member to a distinct ~190-digit odd
+    # denominator leaves residuals near 1e-190; the projection repairs
+    # them, and the chained value's denominator has over 4300 digits.
+    scenario = bp.Scenario(3)
+    g = bp.canonical_gpr(scenario)
+    noisy = bp.mix([(g, F(3, 4))] + [(box, F(1, 256)) for box in bp.enumerate_lds(scenario)])
+    rng = random.Random(5)
+    rows = []
+    for row in noisy.entries:
+        denominators = [rng.randrange(10**189, 10**190) | 1 for _ in row]
+        rows.append([f"{round(v * q)}/{q}" for v, q in zip(row, denominators)])
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 3, "rows": rows}))
+    member, _, warnings = cli._load_member(str(path))
+    assert warnings
+    expected = bp.chained_value(member, g)
+    assert len(str(Decimal(expected.denominator))) > 4300
+    code, report, err = run_json(capsys, "chained-value", path)
+    assert code == 0, err
+    numerator, denominator = report["result"]["value"]["exact"].split("/")
+    assert F(int(Decimal(numerator)), int(Decimal(denominator))) == expected
+    assert report["result"]["violated"] is True
 
 
 def test_wrong_scenario_is_a_domain_error(capsys, chained_path):

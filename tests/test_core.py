@@ -10,6 +10,7 @@ from bellpoly import (
     NormalizationError,
     PreconditionError,
     ShapeError,
+    core,
 )
 
 F = Fraction
@@ -200,6 +201,74 @@ def test_require_member_names_the_failing_constraint():
     bad = bp.matrix_222([[F(1, 2)] * 4] * 4)
     with pytest.raises(PreconditionError, match="normalization"):
         bp.require_member(bad)
+
+
+_PR1 = bp.as_matrix(bp.pr_box(1))
+_LOCAL = bp.mix([(bp.ld_box(1), F(1, 3)), (bp.ld_box(16), F(2, 3))])
+_UNIFORM = bp.SettingsDistribution.uniform(bp.SCENARIO_222)
+# Each public call that needs a polytope member, as a function of the
+# matrix under test.
+_MEMBER_CALLS = {
+    "violated_symmetry": bp.violated_symmetry,
+    "decompose_222": bp.decompose_222,
+    "decompose_local_222": bp.decompose_local_222,
+    "tv_closest_local": bp.tv_closest_local,
+    "kl_closest_local": lambda dm: bp.kl_closest_local(dm, _UNIFORM),
+    "face_projection(q)": lambda dm: bp.face_projection(dm, _LOCAL),
+    "face_projection(s_local)": lambda dm: bp.face_projection(_PR1, dm),
+    "critical_efficiency": bp.critical_efficiency,
+    "critical_efficiency_exact": bp.critical_efficiency_exact,
+    "estimator_weights": lambda dm: bp.estimator_weights(dm, _UNIFORM),
+    "identify_gpr": bp.identify_gpr,
+    "decompose_chained": bp.decompose_chained,
+    "tightness_witness": bp.tightness_witness,
+    "is_extremal": bp.is_extremal,
+}
+_NON_MEMBERS = {
+    "unnormalized": bp.matrix_222([[F(1, 2)] * 4] * 4),
+    # Alice's a1 marginal depends on Bob's setting.
+    "signaling": bp.matrix_222(
+        [[F(1), F(0), F(0), F(0)]] * 3 + [[F(0), F(0), F(0), F(1)]]
+    ),
+    "negative": bp.matrix_222(
+        [[F(1, 2), F(1, 2), F(1, 2), F(-1, 2)]] + [[F(1, 4)] * 4] * 3
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", _NON_MEMBERS.values(), ids=_NON_MEMBERS.keys())
+@pytest.mark.parametrize("call", _MEMBER_CALLS.values(), ids=_MEMBER_CALLS.keys())
+def test_member_operations_reject_non_members(call, bad):
+    with pytest.raises(PreconditionError, match="no-signaling distribution matrix"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "name, validations",
+    [
+        ("violated_symmetry", 1),
+        ("decompose_222", 1),
+        ("tv_closest_local", 1),
+        ("kl_closest_local", 1),
+        ("critical_efficiency_exact", 1),
+        ("estimator_weights", 1),
+        ("face_projection(q)", 2),
+    ],
+)
+def test_each_public_call_checks_membership_once_per_matrix(
+    monkeypatch, name, validations
+):
+    calls = []
+    original = core.validate
+
+    def counted(dm):
+        calls.append(dm)
+        return original(dm)
+
+    monkeypatch.setattr(core, "validate", counted)
+    saturating = bp.ld_box(min(bp.SATURATING_SET_1))
+    _MEMBER_CALLS[name](bp.mix([(_PR1, F(3, 5)), (saturating, F(2, 5))]))
+    assert len(calls) == validations
 
 
 # ---------------------------------------------------------------------------

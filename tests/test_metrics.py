@@ -8,7 +8,12 @@ import pytest
 
 import bellpoly as bp
 from bellpoly import NotApplicableError, PreconditionError
-from conftest import random_local_222, random_nonlocal_222, random_nonsignaling_222
+from conftest import (
+    random_local_222,
+    random_nonlocal_222,
+    random_nonsignaling_222,
+    rational_weights,
+)
 import oracles
 
 F = Fraction
@@ -399,6 +404,23 @@ def test_face_projection_lands_on_the_violated_facet(rng):
         assert bp.is_local_222(point)
         assert bp.chsh_value(point, bp.chsh_symmetry(index)) == 2
         assert point.entries == bp.mix([(dm, lam), (target, 1 - lam)]).entries
+
+
+@pytest.mark.parametrize("index", range(1, 9))
+def test_face_projection_coefficient_from_built_weights(rng, index):
+    # lam = 2o / (2o + r), with r the built PR weight of q and o the
+    # built weight s_local puts off the violated symmetry's facet.
+    saturating = sorted(bp.chsh_symmetry(index).saturating_set)
+    for _ in range(5):
+        r = F(rng.randint(1, 99), 100)
+        on_facet = zip(saturating, rational_weights(rng, 8, 1 - r))
+        q = bp.mix([(bp.pr_box(index), r)] + [(bp.ld_box(i), w) for i, w in on_facet])
+        weights = dict(enumerate(rational_weights(rng, 16), start=1))
+        s_local = bp.mix([(bp.ld_box(i), w) for i, w in weights.items() if w])
+        o = sum((w for i, w in weights.items() if i not in saturating), F(0))
+        lam, point = bp.face_projection(q, s_local)
+        assert lam == 2 * o / (2 * o + r)
+        assert bp.chsh_value(point, bp.chsh_symmetry(index)) == 2
 
 
 def test_face_projection_rejects_local_first_argument(rng):
