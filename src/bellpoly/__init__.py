@@ -89,13 +89,10 @@ from .core import (
     NormalizationError,
     NotApplicableError,
     PreconditionError,
-    Relabeling,
     Scenario,
     SettingsDistribution,
     ShapeError,
     Violation,
-    all_relabelings,
-    apply_relabeling,
     as_fraction,
     as_matrix,
     catalog_222,
@@ -105,7 +102,6 @@ from .core import (
     matrix_222,
     mix,
     pr_box,
-    relabeling_cell_map,
     require_member,
     rows_as_222,
     validate,

@@ -3,15 +3,17 @@ of the 24 vertices, the 8 CHSH symmetries and their functionals, the
 replacement tables, and the single-cell violation estimator.
 
 Each of the 8 PR boxes sits above one CHSH facet of the local polytope;
-the facet inequality, the relabeling that maps the box onto PR box 1,
-and the 8 local deterministic boxes saturating the inequality together
-form a :class:`ChshSymmetry`.  PR box k's CHSH value is 4 - 2 x its
-chained value, so identification and the read-off decomposition are the
-chained engine's (:mod:`bellpoly.chained`), named here by catalog index.
-The saturating sets are PR box k's one-mismatch companions; the uniform
-PR pair table and the cast-out table (a non-saturating deterministic box
-against two copies of PR box 1) come from ``domino_merge`` and
-``mismatch_replacement``.
+the facet inequality, the outcome flips that carry the box onto PR box 1
+and back, and the 8 local deterministic boxes saturating the inequality
+together form a :class:`ChshSymmetry`.  The flips relabel outcomes only,
+so each acts on one row as an XOR of the column index, and every PR-1
+identity reaches PR box k through them.  PR box k's CHSH value is
+4 - 2 x its chained value, so identification and the read-off decomposition
+are the chained engine's (:mod:`bellpoly.chained`), named here by
+catalog index.  The saturating sets are PR box k's one-mismatch
+companions; the uniform PR pair table and the cast-out table (a
+non-saturating deterministic box against two copies of PR box 1) come
+from ``domino_merge`` and ``mismatch_replacement``.
 
 The module also carries the 8 single-cell rewrites of the CHSH
 functional whose value on any no-signaling matrix equals one quarter of
@@ -44,15 +46,12 @@ from .core import (
     InvariantViolationError,
     NotApplicableError,
     PreconditionError,
-    Relabeling,
+    SCENARIO_222,
     SettingsDistribution,
-    all_relabelings,
-    apply_relabeling,
     catalog_222,
     ld_box,
     mix,
     pr_box,
-    relabeling_cell_map,
     require_member,
 )
 
@@ -104,15 +103,17 @@ VARIANT_CELLS = (
 class ChshSymmetry:
     """One of the 8 CHSH facet symmetries of the n=2 polytope.
 
-    ``canonicalizer`` is a relabeling mapping PR box ``index`` onto PR
-    box 1 (so it maps a matrix violating this symmetry into the frame
-    where all canonical-frame identities apply).  ``saturating_set``
+    ``flips`` holds one column mask per canonical row: entry (r, c) of
+    PR box ``index`` is entry (r, c ^ flips[r]) of PR box 1, and the
+    same holds in both directions for any matrix and its image, so the
+    flips carry every canonical-frame identity to this symmetry.  A mask
+    of 2 flips Alice's outcome, 1 Bob's, 3 both.  ``saturating_set``
     holds the catalog indices of the 8 deterministic boxes reaching
     value 2 on this symmetry's functional.
     """
 
     index: int
-    canonicalizer: Relabeling
+    flips: tuple[int, int, int, int]
     saturating_set: frozenset[int]
 
 
@@ -134,21 +135,37 @@ def pr_index_of(matrix: DistributionMatrix) -> int | None:
     return _matrix_indexes()[0].get(matrix)
 
 
+def _outcome_flips(k: int) -> tuple[int, int, int, int]:
+    """Per-row column masks carrying PR box k onto PR box 1.
+
+    Flipping one party's outcome swaps a row's type, so a row's type
+    differs between the boxes iff exactly one side flips there.  Alice
+    keeps a1, which fixes Bob's flips from rows a1b1 and a1b2 and
+    Alice's a2 flip from row a2b1; row a2b2 then agrees by parity.
+    """
+    differs = [s != t for s, t in zip(pr_box(1).row_types, pr_box(k).row_types)]
+    flip_a = (0, differs[0] ^ differs[1])
+    flip_b = (differs[0], differs[3])
+    return tuple(
+        2 * flip_a[i - 1] + flip_b[j - 1] for i, j in SCENARIO_222.setting_pairs()
+    )
+
+
+def _flipped(dm: DistributionMatrix, flips: tuple[int, ...]) -> DistributionMatrix:
+    """``dm`` with entry (r, c) moved to (r, c ^ flips[r])."""
+    return DistributionMatrix(
+        dm.scenario,
+        tuple(
+            tuple(row[c ^ f] for c in range(4)) for row, f in zip(dm.entries, flips)
+        ),
+    )
+
+
 @functools.cache
 def chsh_symmetries() -> tuple[ChshSymmetry, ...]:
     """All 8 CHSH symmetries, index 1 first."""
-    pr1 = pr_box(1).matrix()
     return tuple(
-        ChshSymmetry(
-            k,
-            next(
-                r
-                for r in all_relabelings()
-                if apply_relabeling(pr_box(k).matrix(), r) == pr1
-            ),
-            _saturating_set(k),
-        )
-        for k in range(1, 9)
+        ChshSymmetry(k, _outcome_flips(k), _saturating_set(k)) for k in range(1, 9)
     )
 
 
@@ -302,8 +319,9 @@ def pair_replacement(i: int, j: int) -> tuple[int, int, int, int]:
     """The 4 LD catalog indices with 1/2 PR_i + 1/2 PR_j = 1/4 their sum.
 
     Defined for any two *distinct* PR boxes; pairs not involving PR box 1
-    are resolved by conjugating the PR-1 identities with the relabeling
-    that canonicalizes PR box ``i``.
+    are resolved by conjugating the PR-1 identities with PR box ``i``'s
+    outcome flips: they carry PR_i onto PR_1 and PR_j onto some partner
+    PR_p, and the boxes of PAIR_TABLE[(1, p)] back onto the answer.
     """
     if not (1 <= i <= 8 and 1 <= j <= 8):
         raise PreconditionError("PR box indices must be in 1..8")
@@ -311,14 +329,13 @@ def pair_replacement(i: int, j: int) -> tuple[int, int, int, int]:
         raise PreconditionError(
             "uniform-pair replacement needs two distinct PR boxes"
         )
-    canonicalizer = chsh_symmetry(i).canonicalizer
-    partner = pr_index_of(apply_relabeling(pr_box(j).matrix(), canonicalizer))
+    flips = chsh_symmetry(i).flips
+    partner = pr_index_of(_flipped(pr_box(j).matrix(), flips))
     if partner is None or partner == 1:
-        raise InvariantViolationError("canonicalizer failed to map a PR box")
-    inverse = canonicalizer.inverse()
+        raise InvariantViolationError("outcome flips failed to map a PR box")
     return tuple(
         sorted(
-            ld_index_of(apply_relabeling(ld_box(t).matrix(), inverse))
+            ld_index_of(_flipped(ld_box(t).matrix(), flips))
             for t in PAIR_TABLE[(1, partner)]
         )
     )
@@ -350,33 +367,20 @@ def variant_eberhard_values(
 ) -> tuple[Fraction, ...]:
     """The 8 single-cell rewrites of (value - 2)/4, evaluated on ``dm``.
 
-    Each rewrite has the form  positive cell - three negative cells  in
-    the symmetry's canonical frame; on any no-signaling matrix all 8
-    agree and equal one quarter of the CHSH violation (half the PR
-    weight when the matrix is nonlocal).
+    Each rewrite has the form  positive cell - three negative cells  of
+    :data:`VARIANT_CELLS`, read through the symmetry's outcome flips; on
+    any no-signaling matrix all 8 agree and equal one quarter of the
+    CHSH violation (half the PR weight when the matrix is nonlocal).
     """
     _require_222(dm, "the rewrites are")
-    canonical = apply_relabeling(dm, sym.canonicalizer)
+    flips, e = sym.flips, dm.entries
     values = []
     for plus, minuses in VARIANT_CELLS:
-        v = canonical.entries[plus[0]][plus[1]]
+        v = e[plus[0]][plus[1] ^ flips[plus[0]]]
         for r, c in minuses:
-            v -= canonical.entries[r][c]
+            v -= e[r][c ^ flips[r]]
         values.append(v)
     return tuple(values)
-
-
-def _variant_signed_cells(
-    sym: ChshSymmetry,
-) -> tuple[tuple[tuple[tuple[int, int], int], ...], ...]:
-    """Per variant, the original-frame (cell, sign) pairs it reads."""
-    cmap = relabeling_cell_map(sym.canonicalizer)
-    out = []
-    for plus, minuses in VARIANT_CELLS:
-        cells = [(cmap[plus], 1)]
-        cells.extend((cmap[m], -1) for m in minuses)
-        out.append(tuple(cells))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -495,18 +499,15 @@ def estimator_quadratic(
         )
     # Per cell read by some rewrite: its coefficient in each rewrite and
     # the weight of its outer product, cell value over settings probability.
-    signed = _variant_signed_cells(sym)
+    signs: dict[tuple[int, int], list[int]] = {}
+    for v, (plus, minuses) in enumerate(VARIANT_CELLS):
+        for (r, c), sign in ((plus, 1), *((m, -1) for m in minuses)):
+            signs.setdefault((r, c ^ sym.flips[r]), [0] * 8)[v] += sign
     terms = []
-    for row in range(4):
-        for col in range(4):
-            s = [0] * 8
-            for v, cells in enumerate(signed):
-                for cell, sign in cells:
-                    if cell == (row, col):
-                        s[v] += sign
-            alpha = expected.entries[row][col] / settings.probs[row]
-            if alpha and any(s):
-                terms.append((alpha, s))
+    for (row, col), s in signs.items():
+        alpha = expected.entries[row][col] / settings.probs[row]
+        if alpha:
+            terms.append((alpha, s))
     scale = math.lcm(*(alpha.denominator for alpha, _ in terms))
     matrix = [[0] * 8 for _ in range(8)]
     for alpha, s in terms:

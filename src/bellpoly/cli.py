@@ -208,7 +208,7 @@ def _load_settings(
             raise ShapeError(
                 f'{spec} must hold a JSON array or an object with "settings_probs"'
             )
-        probs = tuple(as_fraction(v) for v in data)
+        probs = tuple(fileio.parse_value(v) for v in data)
         return SettingsDistribution(scenario, probs), "flag", []
     if spec == "uniform":
         return SettingsDistribution.uniform(scenario), "flag", []

@@ -582,91 +582,6 @@ class Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# Relabeling symmetries (n=2)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Relabeling:
-    """A local symmetry of the n=2 polytope.
-
-    Optionally swaps the two settings on each side and optionally flips
-    the outcome labels of each (new) setting: 2*2*4*4 = 64 elements.
-    """
-
-    swap_a: bool
-    swap_b: bool
-    flip_a: tuple[bool, bool]
-    flip_b: tuple[bool, bool]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flip_a", (bool(self.flip_a[0]), bool(self.flip_a[1])))
-        object.__setattr__(self, "flip_b", (bool(self.flip_b[0]), bool(self.flip_b[1])))
-        object.__setattr__(self, "swap_a", bool(self.swap_a))
-        object.__setattr__(self, "swap_b", bool(self.swap_b))
-
-    @classmethod
-    def identity(cls) -> "Relabeling":
-        return cls(False, False, (False, False), (False, False))
-
-    def is_identity(self) -> bool:
-        return self == Relabeling.identity()
-
-    def inverse(self) -> "Relabeling":
-        # Outcome flips are indexed by the relabeled setting, so inverting
-        # a setting swap also swaps which flip applies where.
-        flip_a = (self.flip_a[1], self.flip_a[0]) if self.swap_a else self.flip_a
-        flip_b = (self.flip_b[1], self.flip_b[0]) if self.swap_b else self.flip_b
-        return Relabeling(self.swap_a, self.swap_b, flip_a, flip_b)
-
-
-def all_relabelings() -> tuple[Relabeling, ...]:
-    """All 64 relabelings in a fixed enumeration order."""
-    bools = (False, True)
-    out = []
-    for swap_a, swap_b in itertools.product(bools, bools):
-        for flip_a in itertools.product(bools, bools):
-            for flip_b in itertools.product(bools, bools):
-                out.append(Relabeling(swap_a, swap_b, flip_a, flip_b))
-    return tuple(out)
-
-
-# Canonical row index for 222 coordinates (A, B) with A, B in {0, 1}.
-_ROW_FROM_AB = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-_AB_FROM_ROW = {v: k for k, v in _ROW_FROM_AB.items()}
-
-
-def relabeling_cell_map(r: Relabeling) -> dict[tuple[int, int], tuple[int, int]]:
-    """For each target cell, the source cell it is read from.
-
-    ``apply_relabeling(dm, r)`` sets ``new[cell] = dm[map[cell]]``.
-    """
-    cmap = {}
-    for row in range(4):
-        a, b = _AB_FROM_ROW[row]
-        for col in range(4):
-            x, y = divmod(col, 2)  # outcome bits: 0 = "+", 1 = "0"
-            a_src = a ^ r.swap_a
-            b_src = b ^ r.swap_b
-            x_src = x ^ r.flip_a[a]
-            y_src = y ^ r.flip_b[b]
-            cmap[(row, col)] = (_ROW_FROM_AB[(a_src, b_src)], 2 * x_src + y_src)
-    return cmap
-
-
-def apply_relabeling(dm: DistributionMatrix, r: Relabeling) -> DistributionMatrix:
-    """Permute an n=2 matrix's cells under a relabeling symmetry."""
-    if dm.scenario.n != 2:
-        raise ShapeError("relabelings are defined for the n=2 scenario only")
-    cmap = relabeling_cell_map(r)
-    rows = []
-    for row in range(4):
-        rows.append(tuple(dm.entries[src_r][src_c] for src_r, src_c in
-                          (cmap[(row, col)] for col in range(4))))
-    return DistributionMatrix(dm.scenario, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
 # Settings distributions
 # ---------------------------------------------------------------------------
 

@@ -37,7 +37,8 @@ from .core import (
 )
 
 
-def _parse_value(value: Any) -> Fraction:
+def parse_value(value: Any) -> Fraction:
+    """A probability as decoded from JSON, read as the document reads it."""
     # A JSON number stands for its decimal literal: repr gives the
     # shortest decimal that rounds back to the float, so 0.1 -> 1/10.
     if isinstance(value, float):
@@ -48,7 +49,7 @@ def _parse_value(value: Any) -> Fraction:
 def _parse_probs(values: Any, *, what: str) -> list[Fraction]:
     if not isinstance(values, (list, tuple)):
         raise ShapeError(f"{what} must be an array, got {type(values).__name__}")
-    return [_parse_value(v) for v in values]
+    return [parse_value(v) for v in values]
 
 
 def loads_distribution(

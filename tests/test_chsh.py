@@ -17,6 +17,35 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
+# Outcome flips
+# ---------------------------------------------------------------------------
+
+
+def _flip(entries, flips):
+    """Entry (r, c) moved to (r, c ^ flips[r])."""
+    return tuple(tuple(row[c ^ f] for c in range(4)) for row, f in zip(entries, flips))
+
+
+def test_flips_carry_pr1_onto_each_pr_box_and_back():
+    pr1 = bp.as_matrix(bp.pr_box(1)).entries
+    for k in range(1, 9):
+        flips = bp.chsh_symmetry(k).flips
+        assert len(flips) == 4 and set(flips) <= {0, 1, 2, 3}
+        prk = bp.as_matrix(bp.pr_box(k)).entries
+        assert _flip(prk, flips) == pr1
+        assert _flip(pr1, flips) == prk
+    assert bp.chsh_symmetry(1).flips == (0, 0, 0, 0)
+
+
+def test_flips_permute_both_catalogs():
+    prs = {bp.as_matrix(bp.pr_box(k)).entries for k in range(1, 9)}
+    lds = {bp.as_matrix(bp.ld_box(i)).entries for i in range(1, 17)}
+    for sym in bp.chsh_symmetries():
+        assert {_flip(m, sym.flips) for m in prs} == prs
+        assert {_flip(m, sym.flips) for m in lds} == lds
+
+
+# ---------------------------------------------------------------------------
 # Symmetry values
 # ---------------------------------------------------------------------------
 
@@ -278,12 +307,12 @@ def test_variant_values_all_equal_half_nonlocal_weight(rng):
 
 
 def test_variant_values_equal_even_without_violation(rng):
-    sym1 = bp.chsh_symmetry(1)
     for _ in range(30):
         dm = random_local_222(rng)
-        values = bp.variant_eberhard_values(dm, sym1)
-        assert len(set(values)) == 1
-        assert values[0] == (bp.chsh_value(dm, sym1) - 2) / 4
+        for sym in bp.chsh_symmetries():
+            values = bp.variant_eberhard_values(dm, sym)
+            assert len(set(values)) == 1
+            assert values[0] == (bp.chsh_value(dm, sym) - 2) / 4
 
 
 def test_variant_value_from_rounded_empirical_cells(empirical_path):
@@ -292,6 +321,32 @@ def test_variant_value_from_rounded_empirical_cells(empirical_path):
     # 0.0001422 - 0.0000635 - 0.0000644 - 0.0000024
     first = bp.variant_eberhard_values(dm, bp.chsh_symmetry(1))[0]
     assert first == F(119, 10_000_000)
+
+
+#: Each symmetry's 8 positive cells (row, column) in rewrite order.  The
+#: estimator's weights come in this order, so it is fixed here.
+POSITIVE_CELLS = {
+    1: ((0, 0), (0, 3), (3, 0), (3, 3), (1, 0), (1, 3), (2, 1), (2, 2)),
+    2: ((0, 1), (0, 2), (3, 1), (3, 2), (1, 1), (1, 2), (2, 0), (2, 3)),
+    3: ((0, 0), (0, 3), (3, 0), (3, 3), (1, 2), (1, 1), (2, 3), (2, 0)),
+    4: ((0, 1), (0, 2), (3, 1), (3, 2), (1, 3), (1, 0), (2, 2), (2, 1)),
+    5: ((0, 0), (0, 3), (3, 1), (3, 2), (1, 0), (1, 3), (2, 0), (2, 3)),
+    6: ((0, 1), (0, 2), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)),
+    7: ((0, 1), (0, 2), (3, 0), (3, 3), (1, 3), (1, 0), (2, 3), (2, 0)),
+    8: ((0, 0), (0, 3), (3, 1), (3, 2), (1, 2), (1, 1), (2, 2), (2, 1)),
+}
+
+
+def test_rewrite_order_is_pinned_for_every_symmetry():
+    # A unit mass on a positive cell reads 1 in its own rewrite and 0 in
+    # the others, whose cells are the other support cells and zero cells.
+    for k, cells in POSITIVE_CELLS.items():
+        sym = bp.chsh_symmetry(k)
+        for v, (r, c) in enumerate(cells):
+            rows = tuple(bp.UNIT_ROWS[c] if i == r else (0,) * 4 for i in range(4))
+            unit = bp.DistributionMatrix(bp.SCENARIO_222, rows)
+            expected = tuple(int(u == v) for u in range(8))
+            assert bp.variant_eberhard_values(unit, sym) == expected
 
 
 def test_variant_values_transport_along_each_symmetry():

@@ -1,7 +1,10 @@
 """The command-line interface: report shapes, exit codes, warnings,
 auto-projection, and determinism."""
 
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -12,9 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bellpoly as bp
-from bellpoly import cli, fileio
+from bellpoly import NormalizationError, ShapeError, cli, fileio
 from conftest import random_nonlocal_222
 
 F = Fraction
@@ -120,6 +124,24 @@ def test_import_leaves_numpy_unloaded():
     )
     assert completed.returncode == 0
     assert completed.stdout.strip() == "False"
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(Path(bp.__file__).resolve().parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "gmpy2", (
+                    f"{path.name} imports {name}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +345,29 @@ def test_kl_closest_reads_settings_from_the_file(capsys, tmp_path):
     code, report, _ = run_json(capsys, "kl-closest", path)
     assert code == 0
     assert report["result"]["settings_source"] == "file"
+
+
+@pytest.mark.parametrize("command", ["kl-closest", "estimator"])
+def test_numeric_settings_file_reads_like_the_document(
+    capsys, tmp_path, pr1_path, command
+):
+    # A JSON number is its decimal literal in both places: 0.1 is 1/10.
+    probs = [0.1, 0.2, 0.3, 0.4]
+    doc = json.loads(pr1_path.read_text())
+    doc["settings_probs"] = probs
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(doc))
+    settings_file = tmp_path / "settings.json"
+    settings_file.write_text(json.dumps(probs))
+    code, from_doc, err = run_json(capsys, command, inline)
+    assert code == 0, err
+    code, from_flag, err = run_json(
+        capsys, command, pr1_path, "--settings", settings_file
+    )
+    assert code == 0, err
+    assert from_doc["result"].pop("settings_source") == "file"
+    assert from_flag["result"].pop("settings_source") == "flag"
+    assert from_flag["result"] == from_doc["result"]
 
 
 # ---------------------------------------------------------------------------
@@ -647,3 +692,101 @@ def test_oversized_literals_are_malformed_input(
     assert out == ""
     assert err.startswith("error (malformed input):")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Input fuzz
+# ---------------------------------------------------------------------------
+
+#: Every subcommand that analyses a document, with its required options.
+ANALYSIS_COMMANDS = (
+    ("validate",),
+    ("chsh", "--all"),
+    ("eberhard",),
+    ("decompose",),
+    ("tv-closest",),
+    ("kl-closest",),
+    ("eta", "--value", "9/10"),
+    ("eta-critical",),
+    ("chained-value",),
+    ("tightness",),
+    ("extremal-check",),
+    ("estimator",),
+)
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-1, 2), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def documents(draw):
+    """JSON text: a member of the n=2 or n=3 polytope written cell by
+    cell (exactly, as floats or rounded), then perhaps damaged."""
+    n = draw(st.sampled_from((2, 2, 3)))
+    scenario = bp.Scenario(n)
+    boxes = bp.enumerate_lds(scenario) + bp.enumerate_gprs(scenario)
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(boxes), st.integers(1, 9)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    total = sum(w for _, w in picks)
+    dm = bp.mix([(box, F(w, total)) for box, w in picks])
+    render = draw(st.sampled_from((str, float, lambda v: f"{float(v):.4f}")))
+    doc = {
+        "n": n,
+        "rows": [
+            {"setting": label, "probs": [render(v) for v in row]}
+            for label, row in zip(scenario.row_labels(), dm.entries)
+        ],
+    }
+    if draw(st.booleans()):
+        doc["settings_probs"] = draw(
+            st.just(["1/4"] * 4) | st.lists(st.floats(0, 1) | JUNK, max_size=5) | JUNK
+        )
+    damage = draw(st.sampled_from(("none", "cell", "row", "field", "text")))
+    if damage == "cell":
+        row = draw(st.sampled_from(doc["rows"]))
+        row["probs"][draw(st.integers(0, 3))] = draw(JUNK)
+    elif damage == "row":
+        index = draw(st.integers(0, len(doc["rows"]) - 1))
+        doc["rows"][index] = draw(JUNK | st.just(doc["rows"][0]))
+    elif damage == "field":
+        doc[draw(st.sampled_from(("n", "rows")))] = draw(JUNK)
+    text = json.dumps(doc)
+    if damage == "text":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(text=documents(), fmt=st.sampled_from(("text", "json")))
+def test_generated_documents_are_analysed_or_rejected(fuzz_path, text, fmt):
+    fuzz_path.write_text(text)
+    try:
+        fileio.loads_distribution(text)
+        malformed = False
+    except (ShapeError, NormalizationError):
+        malformed = True
+    for command in ANALYSIS_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run([command[0], str(fuzz_path), *command[1:], "--format", fmt])
+        assert code in (0, 1, 2), (command, code)
+        if malformed:
+            assert code == 2, (command, err.getvalue())
+        assert "Traceback" not in err.getvalue()

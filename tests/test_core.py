@@ -1,4 +1,4 @@
-"""Scenarios, boxes, catalogs, mixing, validation, relabelings."""
+"""Scenarios, boxes, catalogs, mixing, validation, saturating sets."""
 
 from fractions import Fraction
 
@@ -394,62 +394,8 @@ def test_equal_mixture_of_two_prs_matches_four_ld_average(table1):
 
 
 # ---------------------------------------------------------------------------
-# Relabelings
+# Saturating sets
 # ---------------------------------------------------------------------------
-
-
-def test_relabeling_group_has_full_order_and_identity():
-    rs = bp.all_relabelings()
-    assert len(rs) == 64
-    identity = next(
-        r
-        for r in rs
-        if not r.swap_a
-        and not r.swap_b
-        and r.flip_a == (False, False)
-        and r.flip_b == (False, False)
-    )
-    pr1 = bp.as_matrix(bp.pr_box(1))
-    assert bp.apply_relabeling(pr1, identity).entries == pr1.entries
-
-
-def test_relabelings_permute_the_ld_catalog():
-    originals = {bp.as_matrix(bp.ld_box(i)).entries for i in range(1, 17)}
-    for r in bp.all_relabelings():
-        images = {
-            bp.apply_relabeling(bp.as_matrix(bp.ld_box(i)), r).entries
-            for i in range(1, 17)
-        }
-        assert images == originals
-
-
-def test_relabelings_permute_the_pr_catalog():
-    originals = {bp.as_matrix(bp.pr_box(k)).entries for k in range(1, 9)}
-    for r in bp.all_relabelings():
-        images = {
-            bp.apply_relabeling(bp.as_matrix(bp.pr_box(k)), r).entries
-            for k in range(1, 9)
-        }
-        assert images == originals
-
-
-def test_relabeling_cell_map_reproduces_apply(rng):
-    from conftest import random_nonsignaling_222
-
-    dm = random_nonsignaling_222(rng)
-    for r in rng.sample(bp.all_relabelings(), 8):
-        image = bp.apply_relabeling(dm, r)
-        cmap = bp.relabeling_cell_map(r)
-        for (row, col), (srow, scol) in cmap.items():
-            assert image.entries[row][col] == dm.entries[srow][scol]
-
-
-def test_canonicalizer_routes_every_pr_box_to_the_first():
-    target = bp.as_matrix(bp.pr_box(1)).entries
-    for k in range(1, 9):
-        sym = bp.chsh_symmetry(k)
-        image = bp.apply_relabeling(bp.as_matrix(bp.pr_box(k)), sym.canonicalizer)
-        assert image.entries == target
 
 
 def test_saturating_sets_follow_the_pullback():
