@@ -37,14 +37,6 @@ def test_flips_carry_pr1_onto_each_pr_box_and_back():
     assert bp.chsh_symmetry(1).flips == (0, 0, 0, 0)
 
 
-def test_flips_permute_both_catalogs():
-    prs = {bp.as_matrix(bp.pr_box(k)).entries for k in range(1, 9)}
-    lds = {bp.as_matrix(bp.ld_box(i)).entries for i in range(1, 17)}
-    for sym in bp.chsh_symmetries():
-        assert {_flip(m, sym.flips) for m in prs} == prs
-        assert {_flip(m, sym.flips) for m in lds} == lds
-
-
 # ---------------------------------------------------------------------------
 # Symmetry values
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scenarios, boxes, catalogs, mixing, validation, saturating sets."""
+"""Scenarios, boxes, catalogs, mixing, validation, outcome flips, saturating sets."""
 
 from fractions import Fraction
 
@@ -391,6 +391,28 @@ def test_equal_mixture_of_two_prs_matches_four_ld_average(table1):
     labels = left.scenario.row_labels()
     for label, expected_row in table1.items():
         assert left.entries[labels.index(label)] == expected_row
+
+
+# ---------------------------------------------------------------------------
+# Outcome flips
+# ---------------------------------------------------------------------------
+
+
+def _flip(entries, flips):
+    """Entry (r, c) moved to (r, c ^ flips[r])."""
+    return tuple(tuple(row[c ^ f] for c in range(4)) for row, f in zip(entries, flips))
+
+
+def test_relabelings_permute_the_ld_catalog():
+    originals = {bp.as_matrix(bp.ld_box(i)).entries for i in range(1, 17)}
+    for sym in bp.chsh_symmetries():
+        assert {_flip(m, sym.flips) for m in originals} == originals
+
+
+def test_relabelings_permute_the_pr_catalog():
+    originals = {bp.as_matrix(bp.pr_box(k)).entries for k in range(1, 9)}
+    for sym in bp.chsh_symmetries():
+        assert {_flip(m, sym.flips) for m in originals} == originals
 
 
 # ---------------------------------------------------------------------------
