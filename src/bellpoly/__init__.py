@@ -21,12 +21,12 @@ order, columns ``++ +0 0+ 00``), and provides:
   rational or a quadratic surd),
 * vertex enumeration with exact extremality certificates.
 
-All polytope geometry is exact (:class:`fractions.Fraction` cells, with
-``gmpy2`` transparently accelerating the linear algebra when present);
-floats appear only in the KL optimizer and as requested renderings,
-such as :func:`critical_efficiency`'s correctly rounded threshold.
-Beyond the optional ``gmpy2`` the package needs nothing outside the
-standard library.
+All polytope geometry is exact (:class:`fractions.Fraction` cells; the
+linear algebra in :mod:`bellpoly.exactlin` eliminates on integers and
+builds ``Fraction``s only for its results); floats appear only in the
+KL optimizer and as requested renderings, such as
+:func:`critical_efficiency`'s correctly rounded threshold.  The package
+needs nothing outside the standard library.
 """
 
 from .chained import (

@@ -3,7 +3,9 @@
 Every analysis command reads a distribution-matrix JSON document (see
 :mod:`bellpoly.fileio`), reports in text or JSON (``--format``), and
 exits 0 on success, 1 on domain errors (e.g. asking for the nonlocal
-decomposition of a local matrix), or 2 on malformed input or usage.
+decomposition of a local matrix), or 2 on malformed input or usage.  A
+fault in the program itself is reported as one ``error: internal`` line
+with exit code 1, without a traceback.
 
 Matrices built from rounded decimal data rarely satisfy the equality
 constraints exactly.  Commands that need a polytope member accept
@@ -19,7 +21,6 @@ so that published rounded tables decompose to the printed digits.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -28,13 +29,10 @@ from typing import Optional
 from . import chained, chsh, efficiency, exactlin, fileio, metrics, polytope
 from .core import (
     BellError,
-    CapacityError,
     Decomposition,
     DistributionMatrix,
     GeneralizedPRBox,
-    InconsistentInputError,
     InvariantViolationError,
-    NonConvergenceError,
     NormalizationError,
     NotApplicableError,
     PreconditionError,
@@ -65,6 +63,8 @@ def _num(value: Fraction) -> dict:
 
 
 def _digest(path: str) -> Optional[dict]:
+    import hashlib  # only JSON reports of input files need it
+
     try:
         with open(path, "rb") as handle:
             return {
@@ -717,18 +717,12 @@ def run(argv) -> int:
     except (ShapeError, NormalizationError) as exc:
         print(f"error (malformed input): {exc}", file=sys.stderr)
         return 2
-    except (
-        NotApplicableError,
-        PreconditionError,
-        InconsistentInputError,
-        CapacityError,
-        NonConvergenceError,
-        InvariantViolationError,
-    ) as exc:
+    except BellError as exc:  # every other domain error
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BellError as exc:  # any remaining domain error
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault in the program: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -515,15 +515,15 @@ def mix(terms: Iterable[tuple[Box, RationalLike]]) -> DistributionMatrix:
     total = sum(w for _, w in pairs)
     if total != 1:
         raise NormalizationError(f"mixture weights must sum to 1, got {total}")
-    rows = []
-    for r in range(scenario.num_rows):
-        rows.append(
-            tuple(
-                sum((w * m.entries[r][c] for m, w in pairs), Fraction(0))
-                for c in range(4)
-            )
-        )
-    return DistributionMatrix(scenario, tuple(rows))
+    # Each term adds to its nonzero cells only: 2n of the 8n for a
+    # deterministic box, 4n for a PR box.
+    cells = [Fraction(0)] * scenario.num_cells
+    for m, w in pairs:
+        for k, v in enumerate(v for row in m.entries for v in row):
+            if v:
+                cells[k] += w * v
+    rows = tuple(tuple(cells[k : k + 4]) for k in range(0, len(cells), 4))
+    return DistributionMatrix(scenario, rows)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,20 @@
-"""Exact rational linear algebra: rank, square solves, affine projection,
-and a dense-tableau simplex with Bland's rule.
+"""Exact rational linear algebra: rank, square solves, system reduction,
+affine projection, and a feasibility simplex with Bland's rule.
 
-Everything takes and returns :class:`fractions.Fraction`; internally the
-computations run on ``gmpy2.mpq`` when available (a drop-in rational type
-that is considerably faster), falling back to ``Fraction`` otherwise.
+Every routine takes rationals (ints or :class:`fractions.Fraction`) and
+returns ``Fraction``s, but all of them run on one integer-preserving
+Gauss-Jordan kernel (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp.
+22, 1968).  Each input row is scaled to integers by the lcm of its own
+denominators, which changes neither its solutions nor its row space, and
+the matrix keeps one common denominator ``d``: the rational matrix is the
+integer one divided by ``d``.  A pivot on the entry ``p`` updates every
+other row as ``(row * p - f * pivot_row) // d`` and then takes ``d = p``.
+Every entry is then a minor of the scaled input, so the one division per
+update is exact and the integers never grow past those minors.  A
+``Fraction`` operation would instead normalise by a gcd each time; here
+``Fraction``s are built only for the results.  The pivot order is that of
+rational Gauss-Jordan, so the results are the same.
+
 Bland's anti-cycling rule makes every simplex run terminate, which keeps
 feasibility answers exact yes/no decisions rather than numerical guesses.
 """
@@ -11,81 +22,87 @@ feasibility answers exact yes/no decisions rather than numerical guesses.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import InvariantViolationError
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    QQ = Fraction
-
-_QQ0 = QQ(0)
-_QQ1 = QQ(1)
+#: The type of every rational result.
+QQ = Fraction
 
 
-def _to_qq_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list]:
-    return [[QQ(v) for v in row] for row in rows]
+def _scaled(rows) -> list[list[int]]:
+    """Each row times the lcm of its entries' denominators."""
+    out = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (scale // v.denominator) for v in row])
+    return out
 
 
-def _to_fractions(values) -> list[Fraction]:
-    # Building from plain ints matters: Fraction(mpq) keeps mpz components,
-    # which gmpy2 then refuses to coerce back on a later round trip.
-    return [Fraction(int(v.numerator), int(v.denominator)) for v in values]
+def _augmented(rows, rhs) -> list[list[int]]:
+    return _scaled([*row, b] for row, b in zip(rows, rhs))
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination
+# Integer-preserving Gauss-Jordan elimination
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(rows: list[list], r: int, col: int) -> None:
-    """One Gauss-Jordan step on ``rows``, in place.
+def _eliminate(rows: list[list[int]], r: int, col: int, d: int) -> int:
+    """One integer-preserving Gauss-Jordan step on ``rows``, in place.
 
-    Scales ``rows[r]`` so that its ``col`` entry is 1, then subtracts
-    multiples of it to clear ``col`` from every other row.  Only the
-    nonzero entries of the pivot row are scaled, and each other row is
-    updated only where the pivot row is nonzero; the skipped operations
-    would multiply or subtract an exact zero, so every entry comes out
-    as in the dense update, at a fraction of the rational operations.
+    ``rows`` over ``d`` is the rational matrix.  Clears ``col`` from every
+    row but ``rows[r]`` and returns the new common denominator, the pivot
+    ``rows[r][col]``.  A row whose ``col`` entry is already 0 is only
+    rescaled, and not even that when the pivot equals ``d``.
     """
     pivot_row = rows[r]
-    inv = _QQ1 / pivot_row[col]
-    support = []
-    for k, v in enumerate(pivot_row):
-        if v:
-            v = pivot_row[k] = v * inv
-            support.append((k, v))
+    p = pivot_row[col]
     for i, row in enumerate(rows):
+        if i == r:
+            continue
         f = row[col]
-        if f and i != r:
-            for k, v in support:
-                row[k] -= f * v
+        if f:
+            row[:] = [(v * p - f * w) // d for v, w in zip(row, pivot_row)]
+        elif p != d:
+            row[:] = [v * p // d for v in row]
+    return p
 
 
-def _row_reduce(m: list[list], ncols: int) -> int:
+def _row_reduce(m: list[list[int]], ncols: int) -> tuple[int, int]:
     """Bring the first ``ncols`` columns of ``m`` to reduced row echelon
     form in place, pivoting on the first nonzero entry of each column;
-    return the rank of those columns."""
-    r = 0
+    return the rank of those columns and the common denominator."""
+    r, d = 0, 1
     for col in range(ncols):
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        _eliminate(m, r, col)
+        d = _eliminate(m, r, col, d)
         r += 1
-    return r
+    return r, d
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a matrix given as a sequence of rows."""
-    m = _to_qq_matrix(rows)
+    m = _scaled(rows)
     if not m:
         return 0
-    return _row_reduce(m, len(m[0]))
+    return _row_reduce(m, len(m[0]))[0]
+
+
+def _solve(aug: list[list[int]]) -> Optional[tuple[list[int], int]]:
+    """Numerators and common denominator of the solution of a square
+    system given as integer augmented rows; ``None`` if it is singular."""
+    n = len(aug)
+    r, d = _row_reduce(aug, n)
+    if r < n:
+        return None
+    return [row[-1] for row in aug], d
 
 
 def solve_square(
@@ -95,24 +112,26 @@ def solve_square(
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise InvariantViolationError("solve_square requires a square system")
-    aug = [[QQ(v) for v in row] + [QQ(b)] for row, b in zip(matrix, rhs)]
-    if _row_reduce(aug, n) < n:
+    solution = _solve(_augmented(matrix, rhs))
+    if solution is None:
         return None
-    return _to_fractions(row[-1] for row in aug)
+    numerators, d = solution
+    return [Fraction(v, d) for v in numerators]
 
 
 def _reduce(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[list[list]]:
-    """Independent rows of the augmented system ``[rows | rhs]``, in the
-    backend's rationals, or ``None`` when the system is inconsistent."""
+) -> Optional[tuple[list[list[int]], int]]:
+    """Independent integer rows of the augmented system ``[rows | rhs]``
+    and their common denominator, or ``None`` when the system is
+    inconsistent."""
     if not rows:
-        return []
-    aug = [[QQ(v) for v in row] + [QQ(b)] for row, b in zip(rows, rhs)]
-    r = _row_reduce(aug, len(rows[0]))
-    if any(row[-1] != 0 for row in aug[r:]):
+        return [], 1
+    aug = _augmented(rows, rhs)
+    r, d = _row_reduce(aug, len(rows[0]))
+    if any(row[-1] for row in aug[r:]):
         return None
-    return aug[:r]
+    return aug[:r], d
 
 
 def reduce_system(
@@ -123,12 +142,13 @@ def reduce_system(
     Returns ``None`` when the system is inconsistent.  The reduced system
     has full row rank and the same solution set as the input.
     """
-    kept = _reduce(rows, rhs)
-    if kept is None:
+    reduced = _reduce(rows, rhs)
+    if reduced is None:
         return None
+    kept, d = reduced
     return (
-        [_to_fractions(row[:-1]) for row in kept],
-        _to_fractions(row[-1] for row in kept),
+        [[Fraction(v, d) for v in row[:-1]] for row in kept],
+        [Fraction(row[-1], d) for row in kept],
     )
 
 
@@ -141,155 +161,116 @@ def project_onto_affine(
 
     Computes ``x - E^T (E E^T)^{-1} (E x - rhs)`` after reducing ``E`` to
     full row rank, which is the unique minimum-Euclidean-adjustment point
-    satisfying the equalities.
+    satisfying the equalities.  The formula is unchanged when the rows of
+    ``[E | rhs]`` are rescaled, so it runs on the reduced integer rows,
+    with ``x`` as integers over their least common denominator.
     """
-    kept = _reduce(rows, rhs)
-    if kept is None:
+    reduced = _reduce(rows, rhs)
+    if reduced is None:
         raise InvariantViolationError("projection target system is inconsistent")
+    kept = reduced[0]
     if not kept:
         return list(point)
     E = [row[:-1] for row in kept]
-    x = [QQ(v) for v in point]
-    residual = [
-        sum((ev * xv for ev, xv in zip(row, x)), _QQ0) - row[-1]
-        for row in kept
-    ]
+    scale = lcm(*(v.denominator for v in point))
+    x = [v.numerator * (scale // v.denominator) for v in point]
+    # The Gram system (E E^T) y = E x - rhs, times ``scale``.
     gram = [
-        [sum((u * v for u, v in zip(ri, rj)), _QQ0) for rj in E]
-        for ri in E
+        [*(sum(u * v for u, v in zip(ri, rj)) for rj in E),
+         sum(u * v for u, v in zip(ri, x)) - scale * row[-1]]
+        for ri, row in zip(E, kept)
     ]
-    y = solve_square(gram, _to_fractions(residual))
-    if y is None:
+    solution = _solve(gram)
+    if solution is None:
         raise InvariantViolationError("reduced system lost full row rank")
-    yq = [QQ(v) for v in y]
-    adjusted = list(x)
-    for row, yv in zip(E, yq):
-        for k, ev in enumerate(row):
-            if ev != 0:
-                adjusted[k] -= ev * yv
-    return _to_fractions(adjusted)
+    y, d = solution
+    return [
+        Fraction(xv * d - sum(row[k] * yv for row, yv in zip(E, y)), d * scale)
+        for k, xv in enumerate(x)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Simplex (Bland's rule)
+# Feasibility simplex (Bland's rule)
 # ---------------------------------------------------------------------------
 
 
-def _pivot(tableau: list[list], z: list, basis: list[int], prow: int, pcol: int) -> None:
-    _eliminate(tableau + [z], prow, pcol)
-    basis[prow] = pcol
+def _run(tableau: list[list[int]], z: list[int], basis: list[int], ncols: int,
+         d: int) -> int:
+    """Minimize until no negative reduced cost remains (Bland's rule).
 
-
-def _run(tableau: list[list], z: list, basis: list[int], ncols: int) -> None:
-    """Minimize until no negative reduced cost remains (Bland's rule)."""
+    The common denominator ``d`` is positive and stays so, since every
+    pivot is positive; ratios compare by cross-multiplying.  Returns the
+    final ``d``.
+    """
+    system = tableau + [z]
     while True:
         pcol = next((j for j in range(ncols) if z[j] < 0), None)
         if pcol is None:
-            return
+            return d
         prow = None
-        best_ratio = None
         for i, row in enumerate(tableau):
             coeff = row[pcol]
             if coeff > 0:
-                ratio = row[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[prow])
-                ):
-                    best_ratio = ratio
-                    prow = i
+                if prow is None:
+                    prow, best_value, best_coeff = i, row[-1], coeff
+                    continue
+                lhs, rhs = row[-1] * best_coeff, best_value * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
+                    prow, best_value, best_coeff = i, row[-1], coeff
         if prow is None:
             raise InvariantViolationError("linear program is unbounded")
-        _pivot(tableau, z, basis, prow, pcol)
-
-
-def _phase1(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[tuple[list[list], list[int], int]]:
-    """Find a basic feasible solution of ``rows x = rhs, x >= 0``.
-
-    Returns ``(tableau, basis, nvars)`` with all artificial columns
-    removed, or ``None`` when the system is infeasible.
-    """
-    kept = _reduce(rows, rhs)
-    if kept is None:
-        return None
-    m = len(kept)
-    nvars = len(rows[0]) if rows else 0
-    if m == 0:
-        # No constraints beyond x >= 0: the origin is a basic solution.
-        return [], [], nvars
-    tableau = []
-    for row in kept:
-        if row[-1] < 0:
-            row = [-v for v in row]
-        tableau.append(row[:-1] + [_QQ0] * m + [row[-1]])
-    for i in range(m):
-        tableau[i][nvars + i] = _QQ1
-    basis = [nvars + i for i in range(m)]
-    z = [_QQ0] * (nvars + m + 1)
-    for i in range(m):
-        z = [zv - tv for zv, tv in zip(z, tableau[i])]
-    for j in range(nvars, nvars + m):
-        z[j] += _QQ1
-    _run(tableau, z, basis, nvars + m)
-    if -z[-1] != 0:  # minimum of the artificial sum
-        return None
-    # Pivot any zero-level artificial out of the basis; the pre-reduction
-    # to full row rank guarantees a real column is available.
-    for i in range(m):
-        if basis[i] >= nvars:
-            pcol = next((j for j in range(nvars) if tableau[i][j] != 0), None)
-            if pcol is None:
-                raise InvariantViolationError(
-                    "redundant row survived system reduction"
-                )
-            _pivot(tableau, z, basis, i, pcol)
-    tableau = [row[:nvars] + [row[-1]] for row in tableau]
-    return tableau, basis, nvars
-
-
-def _extract(tableau: list[list], basis: list[int], nvars: int) -> list[Fraction]:
-    x = [Fraction(0)] * nvars
-    for i, j in enumerate(basis):
-        v = tableau[i][-1]
-        x[j] = Fraction(int(v.numerator), int(v.denominator))
-    return x
+        d = _eliminate(system, prow, pcol, d)
+        basis[prow] = pcol
 
 
 def simplex_feasible(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> Optional[list[Fraction]]:
-    """One exact solution of ``rows x = rhs, x >= 0``, or ``None``."""
-    result = _phase1(rows, rhs)
-    if result is None:
-        return None
-    tableau, basis, nvars = result
-    return _extract(tableau, basis, nvars)
+    """One exact basic solution of ``rows x = rhs, x >= 0``, or ``None``.
 
-
-def simplex_minimize(
-    costs: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> Optional[tuple[Fraction, list[Fraction]]]:
-    """Exactly minimize ``costs . x`` subject to ``rows x = rhs, x >= 0``.
-
-    Returns ``(optimal value, optimizer)``, or ``None`` when infeasible.
+    Phase 1 of the simplex method: the system is reduced to full row
+    rank, each row gets an artificial variable, and Bland's rule drives
+    the artificial sum to its minimum.  The system is feasible exactly
+    when that minimum is 0.
     """
-    result = _phase1(rows, rhs)
-    if result is None:
+    nvars = len(rows[0]) if rows else 0
+    reduced = _reduce(rows, rhs)
+    if reduced is None:
         return None
-    tableau, basis, nvars = result
-    if len(costs) != nvars:
-        raise InvariantViolationError("cost vector length mismatch")
-    z = [QQ(c) for c in costs] + [_QQ0]
+    kept, d = reduced
+    m = len(kept)
+    if m == 0:
+        # No constraints beyond x >= 0: the origin is a basic solution.
+        return [Fraction(0)] * nvars
+    if d < 0:
+        kept, d = [[-v for v in row] for row in kept], -d
+    tableau = []
+    for i, row in enumerate(kept):
+        if row[-1] < 0:
+            row = [-v for v in row]
+        artificial = [0] * m
+        artificial[i] = d
+        tableau.append(row[:-1] + artificial + [row[-1]])
+    basis = [nvars + i for i in range(m)]
+    z = [-sum(column) for column in zip(*tableau)]
+    for j in range(nvars, nvars + m):
+        z[j] += d
+    d = _run(tableau, z, basis, nvars + m, d)
+    if z[-1] != 0:  # minus the minimum of the artificial sum
+        return None
+    # Pivot any zero-level artificial out of the basis; the pre-reduction
+    # to full row rank guarantees a real column is available.
+    for i in range(m):
+        if basis[i] >= nvars:
+            pcol = next((j for j in range(nvars) if tableau[i][j]), None)
+            if pcol is None:
+                raise InvariantViolationError(
+                    "redundant row survived system reduction"
+                )
+            d = _eliminate(tableau, i, pcol, d)
+            basis[i] = pcol
+    x = [Fraction(0)] * nvars
     for i, j in enumerate(basis):
-        if z[j] != 0:
-            f = z[j]  # basic column j is a unit column with its 1 in row i
-            z = [zv - f * tv for zv, tv in zip(z, tableau[i])]
-    _run(tableau, z, basis, nvars)
-    x = _extract(tableau, basis, nvars)
-    value = sum((c * v for c, v in zip(costs, x)), Fraction(0))
-    return value, x
+        x[j] = Fraction(tableau[i][-1], d)
+    return x

@@ -8,28 +8,29 @@ four-term rewrites of the CHSH quantity), the oracle carries its own
 literal copy so a transcription slip in the library is caught rather
 than reproduced.
 
-The exact LP in :func:`tv_lp_oracle` is solved with the library's own
-simplex, :func:`bellpoly.exactlin.simplex_minimize`.  It is independent
-of :func:`bellpoly.tv_closest_local`, which never calls the simplex, but
-not of ``exactlin``; ``tests/test_exactlin.py`` checks that module
-against a dense elimination and a brute-force LP written in the test.
+The exact LP in :func:`tv_lp_oracle` is solved by this module's own
+dense-tableau simplex over ``Fraction``s (:func:`simplex_minimize`), so
+it shares no code with ``bellpoly.exactlin``, whose integer-preserving
+kernel it checks: ``tests/test_exactlin.py`` compares that kernel with
+this simplex's phase 1, a dense elimination and a brute-force LP.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from bellpoly import (
     DistributionMatrix,
     EfficiencyParams,
+    InvariantViolationError,
     apply_efficiency,
     as_matrix,
     chsh_value,
     ld_box,
     pr_box,
 )
-from bellpoly.exactlin import simplex_minimize
 
 # ---------------------------------------------------------------------------
 # Plain cell access
@@ -132,7 +133,7 @@ def tv_lp_oracle(q: DistributionMatrix) -> Fraction:
     Solved as a rational LP: variables are 16 mixture weights over the
     local deterministic catalog plus split slacks u, v >= 0 per cell
     with  sum_i w_i L_i[cell] + u - v = q[cell];  minimize (1/2) sum(u+v).
-    The LP is solved by ``bellpoly.exactlin.simplex_minimize``.
+    The LP is solved by this module's :func:`simplex_minimize`.
     """
     lds = [as_matrix(ld_box(i)).entries for i in range(1, 17)]
     nld = len(lds)
@@ -402,3 +403,184 @@ def quadratic_threshold(a: Fraction, b: Fraction, c: Fraction) -> Fraction | flo
     if not inside:
         return None
     return max(inside)
+
+
+# ---------------------------------------------------------------------------
+# A dense-tableau simplex over Fractions (Bland's rule)
+# ---------------------------------------------------------------------------
+#
+# Rational Gauss-Jordan elimination and a two-phase simplex, kept apart
+# from the package's integer-preserving kernel so that each checks the
+# other.
+
+
+def _eliminate(rows: list[list], r: int, col: int) -> None:
+    """One Gauss-Jordan step on ``rows``, in place.
+
+    Scales ``rows[r]`` so that its ``col`` entry is 1, then subtracts
+    multiples of it to clear ``col`` from every other row.  Only the
+    nonzero entries of the pivot row are scaled, and each other row is
+    updated only where the pivot row is nonzero.
+    """
+    pivot_row = rows[r]
+    inv = 1 / pivot_row[col]
+    support = []
+    for k, v in enumerate(pivot_row):
+        if v:
+            v = pivot_row[k] = v * inv
+            support.append((k, v))
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            for k, v in support:
+                row[k] -= f * v
+
+
+def _row_reduce(m: list[list], ncols: int) -> int:
+    """Bring the first ``ncols`` columns of ``m`` to reduced row echelon
+    form in place, pivoting on the first nonzero entry of each column;
+    return the rank of those columns."""
+    r = 0
+    for col in range(ncols):
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        _eliminate(m, r, col)
+        r += 1
+    return r
+
+
+def _reduce(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Optional[list[list[Fraction]]]:
+    """Independent rows of the augmented system ``[rows | rhs]``, or
+    ``None`` when the system is inconsistent."""
+    if not rows:
+        return []
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    r = _row_reduce(aug, len(rows[0]))
+    if any(row[-1] != 0 for row in aug[r:]):
+        return None
+    return aug[:r]
+
+
+def _pivot(tableau: list[list], z: list, basis: list[int], prow: int, pcol: int) -> None:
+    _eliminate(tableau + [z], prow, pcol)
+    basis[prow] = pcol
+
+
+def _run(tableau: list[list], z: list, basis: list[int], ncols: int) -> None:
+    """Minimize until no negative reduced cost remains (Bland's rule)."""
+    while True:
+        pcol = next((j for j in range(ncols) if z[j] < 0), None)
+        if pcol is None:
+            return
+        prow = None
+        best_ratio = None
+        for i, row in enumerate(tableau):
+            coeff = row[pcol]
+            if coeff > 0:
+                ratio = row[-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[prow])
+                ):
+                    best_ratio = ratio
+                    prow = i
+        if prow is None:
+            raise InvariantViolationError("linear program is unbounded")
+        _pivot(tableau, z, basis, prow, pcol)
+
+
+def _phase1(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Optional[tuple[list[list], list[int], int]]:
+    """Find a basic feasible solution of ``rows x = rhs, x >= 0``.
+
+    Returns ``(tableau, basis, nvars)`` with all artificial columns
+    removed, or ``None`` when the system is infeasible.
+    """
+    kept = _reduce(rows, rhs)
+    if kept is None:
+        return None
+    m = len(kept)
+    nvars = len(rows[0]) if rows else 0
+    if m == 0:
+        # No constraints beyond x >= 0: the origin is a basic solution.
+        return [], [], nvars
+    tableau = []
+    for row in kept:
+        if row[-1] < 0:
+            row = [-v for v in row]
+        tableau.append(row[:-1] + [Fraction(0)] * m + [row[-1]])
+    for i in range(m):
+        tableau[i][nvars + i] = Fraction(1)
+    basis = [nvars + i for i in range(m)]
+    z = [Fraction(0)] * (nvars + m + 1)
+    for i in range(m):
+        z = [zv - tv for zv, tv in zip(z, tableau[i])]
+    for j in range(nvars, nvars + m):
+        z[j] += 1
+    _run(tableau, z, basis, nvars + m)
+    if -z[-1] != 0:  # minimum of the artificial sum
+        return None
+    # Pivot any zero-level artificial out of the basis; the pre-reduction
+    # to full row rank guarantees a real column is available.
+    for i in range(m):
+        if basis[i] >= nvars:
+            pcol = next((j for j in range(nvars) if tableau[i][j] != 0), None)
+            if pcol is None:
+                raise InvariantViolationError(
+                    "redundant row survived system reduction"
+                )
+            _pivot(tableau, z, basis, i, pcol)
+    tableau = [row[:nvars] + [row[-1]] for row in tableau]
+    return tableau, basis, nvars
+
+
+def _extract(tableau: list[list], basis: list[int], nvars: int) -> list[Fraction]:
+    x = [Fraction(0)] * nvars
+    for i, j in enumerate(basis):
+        x[j] = tableau[i][-1]
+    return x
+
+
+def phase1_solution(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> Optional[list[Fraction]]:
+    """The basic solution of ``rows x = rhs, x >= 0`` that phase 1
+    reaches, or ``None`` when there is none."""
+    result = _phase1(rows, rhs)
+    if result is None:
+        return None
+    return _extract(*result)
+
+
+def simplex_minimize(
+    costs: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+) -> Optional[tuple[Fraction, list[Fraction]]]:
+    """Exactly minimize ``costs . x`` subject to ``rows x = rhs, x >= 0``.
+
+    Returns ``(optimal value, optimizer)``, or ``None`` when infeasible.
+    """
+    result = _phase1(rows, rhs)
+    if result is None:
+        return None
+    tableau, basis, nvars = result
+    if len(costs) != nvars:
+        raise InvariantViolationError("cost vector length mismatch")
+    z = [Fraction(c) for c in costs] + [Fraction(0)]
+    for i, j in enumerate(basis):
+        if z[j] != 0:
+            f = z[j]  # basic column j is a unit column with its 1 in row i
+            z = [zv - f * tv for zv, tv in zip(z, tableau[i])]
+    _run(tableau, z, basis, nvars)
+    x = _extract(tableau, basis, nvars)
+    value = sum((c * v for c, v in zip(costs, x)), Fraction(0))
+    return value, x

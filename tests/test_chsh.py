@@ -151,6 +151,82 @@ def test_local_decomposition_of_balanced_pr_pair_uses_its_ld_face(table1):
     assert all(w == F(1, 4) for _, w in dec.ld_terms)
 
 
+# The deterministic terms that decompose_local_222 returns are the vertex
+# that the simplex's pivot order reaches, not the only decomposition, so
+# these literals (catalog index, weight) pin that order.
+PINNED_LOCAL_DECOMPOSITIONS = {
+    "two-box": [(1, "1/3"), (16, "2/3")],
+    "uniform": [(1, "1/4"), (2, "1/4"), (3, "1/4"), (4, "1/4")],
+    "seed0": [(1, "20/79"), (2, "14/79"), (3, "15/79"), (4, "11/79"),
+              (7, "7/79"), (11, "2/79"), (12, "7/79"), (14, "3/79")],
+    "seed1": [(2, "4/29"), (3, "8/29"), (5, "7/29"), (8, "2/29"), (13, "8/29")],
+    "seed2": [(1, "21/95"), (2, "5/19"), (3, "1/5"), (4, "26/95"), (5, "2/95"),
+              (7, "1/95"), (9, "1/95")],
+    "seed3": [(1, "1/29"), (2, "1/29"), (5, "1/29"), (8, "5/29"), (10, "8/29"),
+              (11, "9/29"), (14, "4/29")],
+}
+
+
+def _pinned_local_matrix(name):
+    if name == "two-box":  # test_core's _LOCAL
+        return bp.mix([(bp.ld_box(1), F(1, 3)), (bp.ld_box(16), F(2, 3))])
+    if name == "uniform":
+        return bp.mix([(bp.ld_box(i), F(1, 16)) for i in range(1, 17)])
+    rng = random.Random(int(name[len("seed"):]))
+    chosen = rng.sample(range(1, 17), rng.randint(3, 16))
+    raw = [rng.randint(1, 9) for _ in chosen]
+    return bp.mix([(bp.ld_box(i), F(r, sum(raw))) for i, r in zip(chosen, raw)])
+
+
+@pytest.mark.parametrize("name", PINNED_LOCAL_DECOMPOSITIONS)
+def test_local_decomposition_reaches_the_pinned_vertex(name):
+    dec = bp.decompose_local_222(_pinned_local_matrix(name))
+    terms = [(bp.ld_index_of(bp.as_matrix(b)), str(w)) for b, w in dec.ld_terms]
+    assert terms == PINNED_LOCAL_DECOMPOSITIONS[name]
+
+
+# Exact estimator weights on fixed violators: PR box k at weight r over
+# its saturating boxes, weighted by a seeded draw.
+PINNED_ESTIMATOR_WEIGHTS = {
+    (4, "uniform"): [
+        "21728473702323866369091/216020027272826234049680",
+        "28886927346631692629491/216020027272826234049680",
+        "14545178403419507549059/216020027272826234049680",
+        "12263248938552164048619/216020027272826234049680",
+        "3081298585267443867247/43204005454565246809936",
+        "54622880268200833984987/216020027272826234049680",
+        "24553709133117694454579/216020027272826234049680",
+        "44013116554243255677619/216020027272826234049680",
+    ],
+    (7, "skewed"): [
+        "557071657303503131087/5857608672382655705000",
+        "43795634340726735367/532509879307514155000",
+        "189901357268655822237/1464402168095663926250",
+        "12107843038391409821/66563734913439269375",
+        "80630982528716090129/532509879307514155000",
+        "358668018288904443309/5857608672382655705000",
+        "63958969547848856293/266254939653757077500",
+        "170491632360317429253/2928804336191327852500",
+    ],
+}
+
+
+@pytest.mark.parametrize("k, settings_name", PINNED_ESTIMATOR_WEIGHTS)
+def test_estimator_weights_are_pinned(k, settings_name):
+    rng = random.Random(k)
+    sat = [i for i in range(1, 17)
+           if bp.chained_value(bp.as_matrix(bp.ld_box(i)), bp.pr_box(k)) == 1]
+    raw = [rng.randint(1, 9) for _ in sat]
+    r = F(rng.randint(1, 60), 100)
+    dm = bp.mix([(bp.pr_box(k), r)] + [
+        (bp.ld_box(i), (1 - r) * F(x, sum(raw))) for i, x in zip(sat, raw)
+    ])
+    probs = {"uniform": (F(1, 4),) * 4, "skewed": (F(1, 10), F(2, 10), F(3, 10), F(4, 10))}
+    settings = bp.SettingsDistribution(bp.SCENARIO_222, probs[settings_name])
+    weights = bp.estimator_weights(dm, settings)
+    assert [str(w) for w in weights] == PINNED_ESTIMATOR_WEIGHTS[k, settings_name]
+
+
 def test_readoff_reproduces_rounded_empirical_table(empirical_path):
     dm, _ = bp.load_distribution(str(empirical_path))
     dec, residual = bp.readoff_222(dm)

@@ -109,21 +109,32 @@ def test_module_entry_point(pr1_path):
     assert "symmetry 1: 4" in completed.stdout
 
 
-def test_import_leaves_numpy_unloaded():
+def loaded_by_import(module):
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    the package and its CLI."""
     src = Path(bp.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     completed = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, bellpoly, bellpoly.cli; print('numpy' in sys.modules)",
+            f"import sys, bellpoly, bellpoly.cli; print({module!r} in sys.modules)",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert completed.returncode == 0
-    assert completed.stdout.strip() == "False"
+    return completed.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    assert not loaded_by_import("numpy")
+
+
+def test_import_leaves_hashlib_unloaded():
+    # Only JSON reports of input files digest them; start-up skips it.
+    assert not loaded_by_import("hashlib")
 
 
 def test_package_imports_only_the_standard_library():
@@ -139,9 +150,7 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 top = name.partition(".")[0]
-                assert top in sys.stdlib_module_names or top == "gmpy2", (
-                    f"{path.name} imports {name}"
-                )
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +679,17 @@ def test_chained_value_renders_rationals_beyond_the_int_digit_limit(capsys, tmp_
     numerator, denominator = report["result"]["value"]["exact"].split("/")
     assert F(int(Decimal(numerator)), int(Decimal(denominator))) == expected
     assert report["result"]["violated"] is True
+
+
+def test_unexpected_exception_is_one_error_line(capsys, monkeypatch, pr1_path):
+    def broken(args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "validate", pr1_path, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: internal RuntimeError: simulated fault\n"
 
 
 def test_wrong_scenario_is_a_domain_error(capsys, chained_path):

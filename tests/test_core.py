@@ -338,15 +338,28 @@ def test_gpr_anticorrelated_rows_come_in_odd_numbers():
 
 
 def test_mix_is_exact_and_order_independent(rng):
+    dense = bp.matrix_222([[F(1, 10), F(2, 10), F(3, 10), F(4, 10)]] * 4)
     terms = [
         (bp.pr_box(1), F(1, 3)),
         (bp.ld_box(4), F(1, 6)),
-        (bp.ld_box(9), F(1, 2)),
+        (bp.ld_box(9), F(1, 4)),
+        (bp.ld_box(2), F(0)),
+        (bp.pr_box(6), F(1, 7)),
+        (dense, F(1, 4) - F(1, 7)),
+        (bp.pr_box(3), 0),
+    ]
+    expected = [
+        [sum(w * bp.as_matrix(box).entries[r][c] for box, w in terms) for c in range(4)]
+        for r in range(4)
     ]
     forward = bp.mix(terms)
-    backward = bp.mix(list(reversed(terms)))
-    assert forward.entries == backward.entries
-    assert forward.cell(0, 0) == F(1, 3) / 2 + F(1, 2)
+    assert [list(row) for row in forward.entries] == expected
+    for _ in range(10):
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        assert bp.mix(shuffled).entries == forward.entries
+    assert all(type(v) is F for row in forward.entries for v in row)
+    assert forward.cell(0, 0) == F(1, 3) / 2 + F(1, 4) + (F(1, 4) - F(1, 7)) / 10
 
 
 def test_mix_of_mixes_equals_flat_mix():

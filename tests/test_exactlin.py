@@ -1,20 +1,29 @@
-"""Exact rational linear algebra primitives."""
+"""Exact rational linear algebra primitives.
+
+``bellpoly.exactlin`` runs on an integer-preserving elimination kernel.
+These tests hold it to plain ``Fraction`` arithmetic written here and in
+``tests/oracles.py``: a dense Gauss-Jordan elimination, a brute-force LP
+over basic solutions, and the oracle's own dense-tableau simplex, whose
+phase 1 must reach the same vertex as ``simplex_feasible``.
+"""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bellpoly as bp
 from bellpoly.exactlin import (
     project_onto_affine,
     rank,
     reduce_system,
     simplex_feasible,
-    simplex_minimize,
     solve_square,
 )
 from bellpoly import InvariantViolationError
+from oracles import phase1_solution, simplex_minimize
 
 F = Fraction
 
@@ -128,6 +137,11 @@ def test_simplex_feasible_rejects_impossible_system():
     assert simplex_feasible([[F(1), F(1)]], [F(-1)]) is None
 
 
+# ---------------------------------------------------------------------------
+# The oracle's Fraction simplex (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
 def test_simplex_minimize_basic_lp():
     # min x1 + 2 x2  s.t.  x1 + x2 = 1
     value, solution = simplex_minimize(
@@ -177,24 +191,40 @@ def test_simplex_minimize_respects_degenerate_ties(shift):
 # Sparse inputs against a dense reference
 # ---------------------------------------------------------------------------
 #
-# The library's elimination skips the entries where the pivot row is zero.
-# These tests run it on small integer matrices, about half of whose
-# entries are zero, next to a plain dense Gauss-Jordan elimination that
-# updates every entry, and next to a brute-force LP over basic solutions.
+# The library's elimination works on integer rows over one common
+# denominator.  These tests run it on small matrices, about half of whose
+# entries are zero, with integer or rational entries, next to a plain
+# dense Gauss-Jordan elimination on Fractions, next to a brute-force LP
+# over basic solutions, and next to the oracle simplex's phase 1.
 
 sparse_entries = st.one_of(st.just(0), st.integers(-3, 3).filter(bool))
+rational_entries = st.one_of(
+    st.just(0), st.fractions(-4, 4, max_denominator=6).filter(bool)
+)
+integer_or_rational = st.sampled_from([sparse_entries, rational_entries])
 
 
-def sparse_vectors(size):
-    return st.lists(sparse_entries, min_size=size, max_size=size)
+def sparse_vectors(size, entries=sparse_entries):
+    return st.lists(entries, min_size=size, max_size=size)
 
 
-def sparse_matrices(max_rows, max_cols):
+def sparse_matrices(max_rows, max_cols, entries=sparse_entries):
     return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
         lambda shape: st.lists(
-            sparse_vectors(shape[1]), min_size=shape[0], max_size=shape[0]
+            sparse_vectors(shape[1], entries), min_size=shape[0], max_size=shape[0]
         )
     )
+
+
+def with_redundant_row(data, rows):
+    """``rows``, perhaps with a combination of two of them inserted."""
+    if len(rows) < 2 or not data.draw(st.booleans()):
+        return rows
+    i, j = data.draw(st.permutations(range(len(rows))))[:2]
+    a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+    combined = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+    k = data.draw(st.integers(0, len(rows)))
+    return rows[:k] + [combined] + rows[k:]
 
 
 def dense_rref(rows, ncols):
@@ -244,16 +274,23 @@ def bfs_minimum(costs, rows, rhs):
     return best
 
 
-@given(sparse_matrices(5, 6))
-def test_rank_matches_dense_elimination_on_sparse_matrices(rows):
+@given(st.data())
+def test_rank_matches_dense_elimination_on_sparse_matrices(data):
+    entries = data.draw(integer_or_rational)
+    rows = with_redundant_row(data, data.draw(sparse_matrices(5, 6, entries)))
     assert rank(rows) == dense_rref(rows, len(rows[0]))[1]
 
 
 @given(st.data())
 def test_solve_square_matches_dense_elimination_on_sparse_matrices(data):
+    entries = data.draw(integer_or_rational)
     n = data.draw(st.integers(1, 5))
-    matrix = data.draw(st.lists(sparse_vectors(n), min_size=n, max_size=n))
-    rhs = data.draw(sparse_vectors(n))
+    matrix = data.draw(st.lists(sparse_vectors(n, entries), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):  # make it singular
+        matrix = with_redundant_row(data, matrix[:-1])
+        if len(matrix) < n:
+            matrix.append([0] * n)
+    rhs = data.draw(sparse_vectors(n, entries))
     aug, r = dense_rref([row + [b] for row, b in zip(matrix, rhs)], n)
     expected = [row[-1] for row in aug] if r == n else None
     assert solve_square(matrix, rhs) == expected
@@ -261,8 +298,9 @@ def test_solve_square_matches_dense_elimination_on_sparse_matrices(data):
 
 @given(st.data())
 def test_reduce_system_matches_dense_elimination_on_sparse_matrices(data):
-    rows = data.draw(sparse_matrices(5, 6))
-    rhs = data.draw(sparse_vectors(len(rows)))
+    entries = data.draw(integer_or_rational)
+    rows = with_redundant_row(data, data.draw(sparse_matrices(5, 6, entries)))
+    rhs = data.draw(sparse_vectors(len(rows), entries))
     assert reduce_system(rows, rhs) == dense_reduce(rows, rhs)
 
 
@@ -289,3 +327,97 @@ def test_simplex_minimize_matches_brute_force_on_sparse_lps(data):
     assert sum(c * v for c, v in zip(costs, solution)) == value
     for row, b in zip(rows, rhs):
         assert sum(a * v for a, v in zip(row, solution)) == b
+
+
+@given(st.data())
+def test_simplex_feasible_reaches_the_oracle_phase1_vertex(data):
+    """Same vertex as the Fraction simplex, on feasible systems built from
+    a nonnegative point with zeros (degenerate ties), with redundant rows
+    and negative right-hand sides, and on random, mostly infeasible ones."""
+    entries = data.draw(integer_or_rational)
+    rows = with_redundant_row(data, data.draw(sparse_matrices(4, 7, entries)))
+    ncols = len(rows[0])
+    if data.draw(st.booleans()):
+        point = data.draw(sparse_vectors(ncols, st.sampled_from([0, 0, 1, 2, Fraction(1, 3)])))
+        rhs = [sum(a * x for a, x in zip(row, point)) for row in rows]
+    else:
+        rhs = data.draw(sparse_vectors(len(rows), entries))
+    solution = simplex_feasible(rows, rhs)
+    assert solution == phase1_solution(rows, rhs)
+    if solution is not None:
+        assert all(type(v) is Fraction and v >= 0 for v in solution)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, solution)) == b
+
+
+def test_simplex_feasible_on_redundant_negative_and_infeasible_systems():
+    rows = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1], [-1, 0, -1, 0]]
+    rhs = [Fraction(1, 2), Fraction(1, 2), 1, Fraction(-1, 3)]
+    solution = simplex_feasible(rows, rhs)
+    assert solution == phase1_solution(rows, rhs) == [
+        0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+    ]
+    # A ratio tie, broken by the lower basis index: the other choice ends
+    # at the vertex (0, 0, 1, 2, 1).
+    rows = [[0, -1, 0, 1, 1], [1, -1, 1, 0, 0], [2, 0, 1, 1, -1]]
+    assert simplex_feasible(rows, [3, 1, 2]) == [
+        1, 0, 0, Fraction(3, 2), Fraction(3, 2)
+    ]
+    # Degenerate: every basic solution has zeros in the basis.
+    assert simplex_feasible([[1, 1, 1], [1, -1, 0]], [0, 0]) == [0, 0, 0]
+    # Infeasible with and without a sign flip.
+    assert simplex_feasible([[1, 1], [1, 1]], [1, 2]) is None
+    assert simplex_feasible([[1, -1], [0, 1]], [-1, -2]) is None
+    assert simplex_feasible([], []) == []
+
+
+# ---------------------------------------------------------------------------
+# The shapes the workloads run
+# ---------------------------------------------------------------------------
+
+
+def test_ld_mixture_lp_reaches_the_oracle_vertex():
+    """The 17 x 16 LP behind ``decompose_local_222``."""
+    rng = random.Random(7)
+    columns = [bp.as_matrix(bp.ld_box(i)).entries for i in range(1, 17)]
+    for _ in range(5):
+        raw = [rng.randint(0, 5) for _ in range(16)]
+        dm = bp.mix([(bp.ld_box(i + 1), Fraction(r, sum(raw))) for i, r in enumerate(raw)])
+        cells = [(r, c) for r in range(4) for c in range(4)]
+        rows = [[m[r][c] for m in columns] for r, c in cells] + [[1] * 16]
+        rhs = [dm.entries[r][c] for r, c in cells] + [1]
+        assert len(rows) == 17 and len(rows[0]) == 16
+        solution = simplex_feasible(rows, rhs)
+        assert solution == phase1_solution(rows, rhs)
+        assert bp.mix(
+            [(bp.ld_box(i + 1), w) for i, w in enumerate(solution)]
+        ).entries == dm.entries
+
+
+def test_estimator_kkt_solve_matches_dense_elimination():
+    """The 8 x 8 integer system of the estimator's active-set method."""
+    settings = bp.SettingsDistribution(
+        bp.SCENARIO_222, (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10))
+    )
+    dm = bp.mix([(bp.pr_box(3), Fraction(3, 10))] + [
+        (bp.ld_box(i), Fraction(7, 80)) for i in range(1, 17)
+        if bp.chained_value(bp.as_matrix(bp.ld_box(i)), bp.pr_box(3)) == 1
+    ])
+    matrix = [list(row) for row in bp.estimator_quadratic(dm, settings).matrix]
+    assert len(matrix) == 8 and all(len(row) == 8 for row in matrix)
+    aug, r = dense_rref([row + [1] for row in matrix], 8)
+    assert r == 8
+    assert solve_square(matrix, [1] * 8) == [row[-1] for row in aug]
+
+
+def test_vertex_certificate_rank_at_n4_matches_dense_elimination():
+    """The active-row ranks that certify n=4 vertices (32 = vertex)."""
+    system = bp.build_constraints(bp.Scenario(4))
+    box = bp.canonical_gpr(bp.Scenario(4))
+    ld = bp.enumerate_lds(bp.Scenario(4))[5]
+    for dm, expected in ((bp.as_matrix(box), 32), (bp.as_matrix(ld), 32),
+                         (bp.mix([(box, Fraction(1, 2)), (ld, Fraction(1, 2))]), None)):
+        rows = [list(r.coeffs) for r in bp.active_rows(system, dm)]
+        value = rank(rows)
+        assert value == dense_rref(rows, len(rows[0]))[1]
+        assert value == expected if expected else value < 32
