@@ -402,7 +402,7 @@ class EstimatorQuadratic:
 
     def objective(self, weights) -> Fraction:
         """The exact second moment under the given weights."""
-        v, d = _common_denominator([Fraction(w) for w in weights])
+        v, d = exactlin.common_denominator([Fraction(w) for w in weights])
         form = sum(vi * gi for vi, gi in zip(v, self._apply(v)))
         return Fraction(form, d * d * self.scale)
 
@@ -444,7 +444,7 @@ class EstimatorQuadratic:
                     c[block] = Fraction(0)
                     fixed.add(block)
                     continue
-            gradient = self._apply(_common_denominator(c)[0])
+            gradient = self._apply(exactlin.common_denominator(c)[0])
             mu = gradient[free[0]]
             leaving = min(fixed, key=lambda i: (gradient[i], i), default=None)
             if leaving is None or gradient[leaving] >= mu:
@@ -465,12 +465,6 @@ class EstimatorQuadratic:
         for i, v in zip(free, y):
             c[i] = v / total
         return c
-
-
-def _common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 #: Rounds of the active-set method before it is declared stuck, a guard

@@ -31,13 +31,15 @@ from .core import InvariantViolationError
 QQ = Fraction
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _scaled(rows) -> list[list[int]]:
     """Each row times the lcm of its entries' denominators."""
-    out = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+    return [common_denominator(row)[0] for row in rows]
 
 
 def _augmented(rows, rhs) -> list[list[int]]:
@@ -172,8 +174,7 @@ def project_onto_affine(
     if not kept:
         return list(point)
     E = [row[:-1] for row in kept]
-    scale = lcm(*(v.denominator for v in point))
-    x = [v.numerator * (scale // v.denominator) for v in point]
+    x, scale = common_denominator(point)
     # The Gram system (E E^T) y = E x - rhs, times ``scale``.
     gram = [
         [*(sum(u * v for u, v in zip(ri, rj)) for rj in E),

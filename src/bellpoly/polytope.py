@@ -241,8 +241,8 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
         columns.append([-v for v in column])
     cuts, scales = [], []
     for row in zip(*columns):
-        scale = math.lcm(*(v.denominator for v in row))
-        cuts.append([int(v * scale) for v in row])
+        cut, scale = exactlin.common_denominator(row)
+        cuts.append(cut)
         scales.append(scale)
     vertices = []
     for ray in extreme_rays(cuts, len(free) + 1):

@@ -24,9 +24,15 @@ from conftest import random_nonlocal_222
 F = Fraction
 
 
+#: How ``cli.run`` reports an exception that is not a ``BellError``: a
+#: fault in the program, which no input may reach.
+INTERNAL = "error: internal"
+
+
 def run_cli(capsys, *argv):
     code = cli.run([str(a) for a in argv])
     captured = capsys.readouterr()
+    assert INTERNAL not in captured.err, captured.err
     return code, captured.out, captured.err
 
 
@@ -687,9 +693,10 @@ def test_unexpected_exception_is_one_error_line(capsys, monkeypatch, pr1_path):
 
     monkeypatch.setattr(cli, "_cmd_validate", broken)
     for fmt in ("text", "json"):
-        code, out, err = run_cli(capsys, "validate", pr1_path, "--format", fmt)
+        code = cli.run(["validate", str(pr1_path), "--format", fmt])
+        out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err == "error: internal RuntimeError: simulated fault\n"
+        assert err == f"{INTERNAL} RuntimeError: simulated fault\n"
 
 
 def test_wrong_scenario_is_a_domain_error(capsys, chained_path):
@@ -807,6 +814,7 @@ def test_generated_documents_are_analysed_or_rejected(fuzz_path, text, fmt):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run([command[0], str(fuzz_path), *command[1:], "--format", fmt])
         assert code in (0, 1, 2), (command, code)
+        assert INTERNAL not in err.getvalue(), (command, err.getvalue())
         if malformed:
             assert code == 2, (command, err.getvalue())
         assert "Traceback" not in err.getvalue()
