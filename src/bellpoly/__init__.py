@@ -4,7 +4,8 @@ The package represents bipartite conditional distributions as matrices
 of exact rationals (one row per settings pair in the canonical chained
 order, columns ``++ +0 0+ 00``), and provides:
 
-* polytope membership checks and violation diagnostics,
+* the polytope's equality constraints as one table, with membership
+  checks and violation diagnostics read from it,
 * one engine for every n >= 2, n=2 included: functional values against
   generalized PR boxes, identification of the violated box, exact
   decompositions read off single matrix cells and their tightness, and
@@ -81,6 +82,7 @@ from .core import (
     CapacityError,
     Decomposition,
     DistributionMatrix,
+    Equality,
     GeneralizedPRBox,
     InconsistentInputError,
     InvariantViolationError,
@@ -98,6 +100,7 @@ from .core import (
     catalog_222,
     enumerate_gprs,
     enumerate_lds,
+    equalities,
     ld_box,
     matrix_222,
     mix,
@@ -134,14 +137,10 @@ from .metrics import (
     tv_distance,
 )
 from .polytope import (
-    ConstraintRow,
-    ConstraintSystem,
     active_rank,
-    active_rows,
-    build_constraints,
     enumerate_vertices,
+    equality_matrix,
     is_extremal,
-    rank_exact,
 )
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .core import (
     as_fraction,
     enumerate_gprs,
     enumerate_lds,
+    equalities,
     validate,
 )
 
@@ -138,6 +139,20 @@ def _decomposition_lines(dec: Decomposition) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _worst_residual(violations) -> Fraction:
+    """The largest residual among ``violations``; raises
+    :class:`ShapeError` past :data:`PROJECTION_TOLERANCE`, the most that
+    auto-projection repairs."""
+    worst = max(abs(v.residual) for v in violations)
+    if worst > PROJECTION_TOLERANCE:
+        raise ShapeError(
+            f"matrix violates the polytope constraints with residual "
+            f"{float(worst):.3g}, beyond the auto-projection tolerance "
+            f"{float(PROJECTION_TOLERANCE):.0e}; fix the input"
+        )
+    return worst
+
+
 def _project_member(
     dm: DistributionMatrix,
 ) -> tuple[DistributionMatrix, list[str]]:
@@ -147,19 +162,11 @@ def _project_member(
     violations = validate(dm)
     if not violations:
         return dm, []
-    worst = max(abs(v.residual) for v in violations)
-    if worst > PROJECTION_TOLERANCE:
-        raise ShapeError(
-            f"matrix violates the polytope constraints with residual "
-            f"{float(worst):.3g}, beyond the auto-projection tolerance "
-            f"{float(PROJECTION_TOLERANCE):.0e}; fix the input"
-        )
-    system = polytope.build_constraints(dm.scenario)
-    equalities = system.equalities()
+    worst = _worst_residual(violations)
     cells = [v for row in dm.entries for v in row]
     projected_cells = exactlin.project_onto_affine(
-        [list(r.coeffs) for r in equalities],
-        [r.bound for r in equalities],
+        polytope.equality_matrix(dm.scenario),
+        [eq.bound for eq in equalities(dm.scenario)],
         cells,
     )
     adjustment = max(abs(a - b) for a, b in zip(projected_cells, cells))
@@ -312,13 +319,7 @@ def _cmd_decompose(args) -> int:
                 dec = chsh.decompose_local_222(dm)
                 kind = "local"
         else:
-            worst = max(abs(v.residual) for v in violations)
-            if worst > PROJECTION_TOLERANCE:
-                raise ShapeError(
-                    f"matrix violates the polytope constraints with residual "
-                    f"{float(worst):.3g}, beyond tolerance "
-                    f"{float(PROJECTION_TOLERANCE):.0e}"
-                )
+            _worst_residual(violations)
             dec, residual = chsh.readoff_222(dm)
             kind = "pr-plus-saturating"
             warnings.append(
@@ -565,8 +566,7 @@ def _cmd_vertices(args) -> int:
 
 def _cmd_extremal_check(args) -> int:
     dm, _, warnings = _load_member(args.file)
-    system = polytope.build_constraints(dm.scenario)
-    rank = polytope.active_rank(system, dm)
+    rank = polytope.active_rank(dm)
     extremal = rank == dm.scenario.num_cells
     result = {
         "extremal": extremal,
@@ -677,11 +677,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("chained-value", _cmd_chained_value,
             "chained functional value against a generalized PR box")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--gpr", metavar="SPEC",
-                       help="box row types, e.g. CCACCA (canonical row order)")
-    group.add_argument("--canonical", action="store_true",
-                       help="use the all-correlated-but-last box (default)")
+    p.add_argument("--gpr", metavar="SPEC",
+                   help="box row types, e.g. CCACCA (canonical row order); "
+                   "default: the canonical all-correlated-but-last box")
 
     add("tightness", _cmd_tightness,
         "maximal local weight and its witness decomposition")

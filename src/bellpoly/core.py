@@ -18,12 +18,19 @@ anticorrelated, with an odd number of anticorrelated rows).  Both are
 modelled as small frozen value types that can render their induced
 distribution matrix.
 
+The polytope itself is defined once, here: :func:`equalities` lists its
+4n equality constraints (row normalization and no-signaling marginals),
+and every cell is nonnegative.  :func:`validate` checks a matrix against
+exactly that description, and :mod:`bellpoly.polytope` and the command
+line read the same table.
+
 All arithmetic is over :class:`fractions.Fraction`; nothing in this
 module rounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -631,65 +638,83 @@ class Violation:
         return f"{self.constraint} at {self.location}: residual {self.residual}"
 
 
-def _setting_rows(scenario: Scenario) -> tuple[list[tuple[int, list[int]]], list[tuple[int, list[int]]]]:
-    """Rows measuring each Alice setting and each Bob setting (1-based)."""
-    pairs = scenario.setting_pairs()
-    alice: dict[int, list[int]] = {}
-    bob: dict[int, list[int]] = {}
-    for idx, (i, j) in enumerate(pairs):
-        alice.setdefault(i, []).append(idx)
-        bob.setdefault(j, []).append(idx)
-    return (sorted(alice.items()), sorted(bob.items()))
+@dataclass(frozen=True)
+class Equality:
+    """One equality constraint of the polytope: the cells ``plus`` sum to
+    ``bound`` plus the cells ``minus``.
+
+    Cells are row-major indices ``4 * row + column``.  ``constraint``
+    and ``location`` are what :func:`validate` reports when it fails.
+    """
+
+    constraint: str  # "normalization" | "no-signaling"
+    location: str
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
+    bound: int
+
+
+@functools.cache
+def equalities(scenario: Scenario) -> tuple[Equality, ...]:
+    """The 4n equality constraints of the no-signaling polytope.
+
+    The polytope is the set of matrices that satisfy these and have no
+    negative cell.  Order: the 2n row normalizations in canonical row
+    order, then, for Alice's settings and then Bob's in ascending order,
+    equality of that side's ``+`` marginal across the two rows that
+    measure the setting.
+    """
+    labels = scenario.row_labels()
+    table = [
+        Equality("normalization", f"row {label}", tuple(range(4 * r, 4 * r + 4)),
+                 (), 1)
+        for r, label in enumerate(labels)
+    ]
+    for side, party, columns in (("alice", 0, (0, 1)), ("bob", 1, (0, 2))):
+        rows: dict[int, list[int]] = {}
+        for r, pair in enumerate(scenario.setting_pairs()):
+            rows.setdefault(pair[party], []).append(r)
+        for setting, (first, second) in sorted(rows.items()):
+            table.append(
+                Equality(
+                    "no-signaling",
+                    f"{side} setting {side[0]}{setting} between rows "
+                    f"{labels[first]} and {labels[second]}",
+                    tuple(4 * first + c for c in columns),
+                    tuple(4 * second + c for c in columns),
+                    0,
+                )
+            )
+    return tuple(table)
 
 
 def validate(dm: DistributionMatrix) -> list[Violation]:
     """Check membership in the no-signaling polytope.
 
-    Returns one :class:`Violation` per failed constraint — entry
-    nonnegativity, row normalization, and equality of each side's
-    outcome marginal across the two rows that measure the same setting.
-    An empty report means the matrix is a polytope member.
+    Returns one :class:`Violation` per failed constraint: each negative
+    cell, then each failed entry of :func:`equalities` in table order,
+    with residual ``sum(plus) - bound - sum(minus)``.  An empty report
+    means the matrix is a polytope member.
     """
-    labels = dm.scenario.row_labels()
-    violations = []
-    for r, row in enumerate(dm.entries):
-        for c, value in enumerate(row):
-            if value < 0:
-                violations.append(
-                    Violation("nonnegativity", f"cell ({labels[r]}, {COLUMNS[c]})", value)
-                )
-    for r, row in enumerate(dm.entries):
-        total = sum(row)
-        if total != 1:
-            violations.append(
-                Violation("normalization", f"row {labels[r]}", total - 1)
-            )
-    alice, bob = _setting_rows(dm.scenario)
-    for i, rows in alice:
-        first, second = rows
-        # P(alice outcome "+") must not depend on Bob's choice of setting.
-        m1 = dm.entries[first][0] + dm.entries[first][1]
-        m2 = dm.entries[second][0] + dm.entries[second][1]
-        if m1 != m2:
-            violations.append(
-                Violation(
-                    "no-signaling",
-                    f"alice setting a{i} between rows {labels[first]} and {labels[second]}",
-                    m1 - m2,
-                )
-            )
-    for j, rows in bob:
-        first, second = rows
-        m1 = dm.entries[first][0] + dm.entries[first][2]
-        m2 = dm.entries[second][0] + dm.entries[second][2]
-        if m1 != m2:
-            violations.append(
-                Violation(
-                    "no-signaling",
-                    f"bob setting b{j} between rows {labels[first]} and {labels[second]}",
-                    m1 - m2,
-                )
-            )
+    cells = [v for row in dm.entries for v in row]
+    violations = [
+        Violation(
+            "nonnegativity",
+            f"cell ({dm.scenario.row_labels()[k // 4]}, {COLUMNS[k % 4]})",
+            v,
+        )
+        for k, v in enumerate(cells)
+        if v < 0
+    ]
+    for eq in equalities(dm.scenario):
+        total = cells[eq.plus[0]]
+        for k in eq.plus[1:]:
+            total += cells[k]
+        target = eq.bound
+        for k in eq.minus:
+            target += cells[k]
+        if total != target:
+            violations.append(Violation(eq.constraint, eq.location, total - target))
     return violations
 
 

@@ -223,14 +223,19 @@ def kl_gradient(
     return problem.gradient(problem.mixture([float(w) for w in weights]))
 
 
+#: :func:`kl_minimize` stops once a step improves the divergence by less
+#: than this fraction of its value.
+KL_RELATIVE_TOLERANCE = 1e-12
+#: :func:`kl_minimize` raises :class:`NonConvergenceError` after this
+#: many iterations.
+KL_MAX_ITERATIONS = 100_000
+
+
 def kl_minimize(
     q: DistributionMatrix,
     settings: SettingsDistribution,
     ld_indices: Sequence[int],
     start: Optional[Sequence[float]] = None,
-    *,
-    relative_tolerance: float = 1e-12,
-    max_iterations: int = 100_000,
 ) -> tuple[list[float], float, int]:
     """Minimize KL divergence over mixtures of the given boxes by mirror
     descent (multiplicative weight updates, which keep the iterate in
@@ -238,8 +243,9 @@ def kl_minimize(
 
     Steps that fail to decrease the objective halve the step size; the
     run stops once an accepted step improves the objective by less than
-    ``relative_tolerance`` in relative terms.  Hitting the iteration cap
-    raises :class:`NonConvergenceError` with the best iterate attached.
+    :data:`KL_RELATIVE_TOLERANCE` in relative terms.  Hitting the
+    iteration cap :data:`KL_MAX_ITERATIONS` raises
+    :class:`NonConvergenceError` with the best iterate attached.
     The cells and box supports are gathered once, so each step costs a
     few float operations per positive cell and box.
     """
@@ -256,7 +262,7 @@ def kl_minimize(
     s = problem.mixture(x)
     f = problem.objective(s)
     step = 1.0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, KL_MAX_ITERATIONS + 1):
         g = problem.gradient(s)
         top = max(g)  # exp-normalization; shifts cancel on the simplex
         while True:
@@ -271,10 +277,10 @@ def kl_minimize(
         improvement = f - f_new
         x, s, f = y, s_new, f_new
         step *= 1.5
-        if improvement <= relative_tolerance * max(abs(f), 1e-30):
+        if improvement <= KL_RELATIVE_TOLERANCE * max(abs(f), 1e-30):
             return x, f, iteration
     raise NonConvergenceError(
-        "mirror descent hit its iteration cap", best=(x, f, max_iterations)
+        "mirror descent hit its iteration cap", best=(x, f, KL_MAX_ITERATIONS)
     )
 
 

@@ -1,11 +1,13 @@
-"""The chained no-signaling polytope as an explicit constraint system:
-exact extremality certificates and full vertex enumeration.
+"""The chained no-signaling polytope: exact extremality certificates
+and full vertex enumeration.
 
-Membership is cut out by 2n row-normalization equalities, 2n marginal-
-consistency (no-signaling) equalities, and 8n cell nonnegativity
-inequalities in R^(8n).  The equality system has rank 4n, so the
-polytope has dimension 4n, and a member is a vertex exactly when its
-equalities plus *active* nonnegativity rows reach full rank 8n.
+The polytope lives in R^(8n).  It is cut out by the 4n equalities of
+:func:`~bellpoly.core.equalities` (2n row normalizations and 2n
+marginal-consistency, or no-signaling, equalities) and by nonnegativity
+of the 8n cells.  :func:`equality_matrix` holds the equalities as one
+integer matrix of rank 4n, so the polytope has dimension 4n, and a
+member is a vertex exactly when the equalities plus its *active*
+nonnegativity rows (one per zero cell) reach full rank 8n.
 
 Vertex enumeration is the double-description method (Motzkin et al.
 1953; Fukuda & Prodon 1996) in exact integer arithmetic.  Solving the
@@ -20,136 +22,58 @@ cells plus the rank of the equalities on the support.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Sequence
 
 from . import exactlin
 from .core import (
-    COLUMNS,
     CapacityError,
     DistributionMatrix,
     InvariantViolationError,
     Scenario,
-    _setting_rows,
+    equalities,
     require_member,
     validate,
 )
 
-Kind = Literal["equality", "nonnegativity"]
+
+@functools.cache
+def equality_matrix(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
+    """The 4n x 8n coefficients of :func:`~bellpoly.core.equalities`:
+    one row per equality in table order, 1 on its ``plus`` cells and -1
+    on its ``minus`` cells."""
+    rows = []
+    for eq in equalities(scenario):
+        row = [0] * scenario.num_cells
+        for k in eq.plus:
+            row[k] = 1
+        for k in eq.minus:
+            row[k] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One constraint: ``coeffs . x = bound`` for equalities, or
-    ``coeffs . x <= bound`` for nonnegativity rows (which are stored as
-    ``-x_cell <= 0``)."""
+def active_rank(dm: DistributionMatrix) -> int:
+    """Rank of the constraints active at ``dm``: every equality plus the
+    nonnegativity of each zero cell.
 
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-    kind: Kind
-    label: str
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    scenario: Scenario
-    rows: tuple[ConstraintRow, ...]
-
-    def equalities(self) -> tuple[ConstraintRow, ...]:
-        return tuple(r for r in self.rows if r.kind == "equality")
-
-    def nonnegativities(self) -> tuple[ConstraintRow, ...]:
-        return tuple(r for r in self.rows if r.kind == "nonnegativity")
-
-
-def build_constraints(scenario: Scenario) -> ConstraintSystem:
-    """The full constraint description of the no-signaling polytope.
-
-    Row order: 2n normalizations, then no-signaling rows for Alice's
-    settings and Bob's settings in ascending order, then one
-    nonnegativity row per cell in row-major cell order.
-    """
-    ncells = scenario.num_cells
-    labels = scenario.row_labels()
-    rows: list[ConstraintRow] = []
-    zero, one = Fraction(0), Fraction(1)
-    for r in range(scenario.num_rows):
-        coeffs = [zero] * ncells
-        for c in range(4):
-            coeffs[4 * r + c] = one
-        rows.append(ConstraintRow(tuple(coeffs), one, "equality", f"normalization {labels[r]}"))
-    alice, bob = _setting_rows(scenario)
-    for side, items in (("a", alice), ("b", bob)):
-        cols = (0, 1) if side == "a" else (0, 2)
-        for setting, (first, second) in items:
-            coeffs = [zero] * ncells
-            for c in cols:
-                coeffs[4 * first + c] += one
-                coeffs[4 * second + c] -= one
-            rows.append(
-                ConstraintRow(
-                    tuple(coeffs),
-                    zero,
-                    "equality",
-                    f"no-signaling {side}{setting}",
-                )
-            )
-
-    for r in range(scenario.num_rows):
-        for c in range(4):
-            coeffs = [zero] * ncells
-            coeffs[4 * r + c] = -one
-            rows.append(
-                ConstraintRow(
-                    tuple(coeffs),
-                    zero,
-                    "nonnegativity",
-                    f"cell ({labels[r]}, {COLUMNS[c]})",
-                )
-            )
-    return ConstraintSystem(scenario, tuple(rows))
-
-
-def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a coefficient matrix (thin wrapper for callers that
-    assemble their own active systems)."""
-    return exactlin.rank(rows)
-
-
-def active_rows(
-    system: ConstraintSystem, dm: DistributionMatrix
-) -> list[ConstraintRow]:
-    """All equality rows plus the nonnegativity rows tight at ``dm``."""
-    cells = [v for row in dm.entries for v in row]
-    active = list(system.equalities())
-    for row in system.nonnegativities():
-        value = sum((c * x for c, x in zip(row.coeffs, cells) if c), Fraction(0))
-        if value == row.bound:
-            active.append(row)
-    return active
-
-
-def active_rank(system: ConstraintSystem, dm: DistributionMatrix) -> int:
-    """Rank of :func:`active_rows` at ``dm``.
-
-    The tight nonnegativity rows are unit vectors on the zero cells, so
-    they contribute one each and clear their columns: the rank is the
-    number of zero cells plus the rank of the equality rows restricted
-    to the support, a 4n-row system over at most 8n columns.
+    The nonnegativity rows are unit vectors on the zero cells, so they
+    contribute one each and clear their columns: the rank is the number
+    of zero cells plus the rank of :func:`equality_matrix` restricted to
+    the support, a 4n-row system over at most 8n columns.
     """
     cells = [v for row in dm.entries for v in row]
     support = [k for k, v in enumerate(cells) if v != 0]
-    restricted = [[r.coeffs[k] for k in support] for r in system.equalities()]
+    restricted = [[row[k] for k in support] for row in equality_matrix(dm.scenario)]
     return len(cells) - len(support) + exactlin.rank(restricted)
 
 
 def is_extremal(dm: DistributionMatrix) -> bool:
     """Whether a polytope member is a vertex: active rank equals 8n."""
     require_member(dm, context="is_extremal")
-    system = build_constraints(dm.scenario)
-    return active_rank(system, dm) == dm.scenario.num_cells
+    return active_rank(dm) == dm.scenario.num_cells
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +147,20 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
         raise CapacityError(
             f"vertex enumeration supports n in 2..4, got n={scenario.n}"
         )
-    system = build_constraints(scenario)
-    eqs = system.equalities()
+    matrix = equality_matrix(scenario)
     ncells = scenario.num_cells
     basis: list[int] = []
     for c in range(ncells):
-        columns = [[r.coeffs[k] for r in eqs] for k in (*basis, c)]
+        columns = [[row[k] for row in matrix] for k in (*basis, c)]
         if exactlin.rank(columns) > len(basis):
             basis.append(c)
     free = [c for c in range(ncells) if c not in basis]
-    square = [[r.coeffs[k] for k in basis] for r in eqs]
+    square = [[row[k] for k in basis] for row in matrix]
     # Column 0 holds x0 on the basis cells, column 1 + j the coefficients
     # of free cell j: x_basis = x0 - inverse(square) * E[:, free] * y.
-    columns = [exactlin.solve_square(square, [r.bound for r in eqs])]
+    columns = [exactlin.solve_square(square, [eq.bound for eq in equalities(scenario)])]
     for f in free:
-        column = exactlin.solve_square(square, [r.coeffs[f] for r in eqs])
+        column = exactlin.solve_square(square, [row[f] for row in matrix])
         columns.append([-v for v in column])
     cuts, scales = [], []
     for row in zip(*columns):
@@ -256,7 +179,7 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
         vertices.append(DistributionMatrix(scenario, rows))
     vertices.sort(key=lambda dm: [v for row in dm.entries for v in row])
     for dm in vertices:
-        if validate(dm) or active_rank(system, dm) != ncells:
+        if validate(dm) or active_rank(dm) != ncells:
             raise InvariantViolationError(
                 "enumeration produced a point that is not a vertex"
             )

@@ -22,6 +22,7 @@ from bellpoly import (
     catalog_222,
     chsh_symmetry,
     enumerate_gprs,
+    equality_matrix,
     ld_box,
     mix,
     one_support_mismatches,
@@ -139,6 +140,15 @@ def table1():
     }
 
 
+def active_rows(dm) -> list[list[int]]:
+    """Every constraint row tight at a member ``dm``: the equality rows,
+    then the unit row of each zero cell (its nonnegativity)."""
+    ncells = dm.scenario.num_cells
+    cells = [v for row in dm.entries for v in row]
+    units = [[int(j == k) for j in range(ncells)] for k, v in enumerate(cells) if v == 0]
+    return [list(row) for row in equality_matrix(dm.scenario)] + units
+
+
 def scenario_gpr_with_types(n: int, letters: str) -> GeneralizedPRBox:
     return GeneralizedPRBox(Scenario(n), tuple(letters))
 
@@ -151,6 +161,7 @@ __all__ = [
     "random_nonsignaling_222",
     "random_gpr",
     "random_chained_mixture",
+    "active_rows",
     "scenario_gpr_with_types",
     "canonical_gpr",
 ]

@@ -625,6 +625,17 @@ def test_projection_rejects_large_residuals(capsys, tmp_path):
     assert "auto-projection tolerance" in err
 
 
+def test_n2_decompose_rejects_large_residuals(capsys, tmp_path):
+    doc = fileio.dump_distribution(bp.as_matrix(bp.pr_box(1)))
+    doc["rows"][0]["probs"] = ["0.501", "0", "0", "0.5"]
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert "auto-projection tolerance" in err
+
+
 def test_missing_file_is_malformed_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2

@@ -197,6 +197,22 @@ def test_validate_empirical_table_reports_two_tiny_violations(empirical_document
     ]
 
 
+def test_validate_reports_every_kind_of_violation_in_table_order():
+    scenario = bp.Scenario(3)
+    rows = [list(row) for row in bp.as_matrix(bp.canonical_gpr(scenario)).entries]
+    rows[0][1] = F(-1, 10)
+    rows[2][0] = F(9, 14)
+    violations = bp.validate(bp.DistributionMatrix(scenario, rows))
+    assert [(v.constraint, v.location, v.residual) for v in violations] == [
+        ("nonnegativity", "cell (a1b1, +0)", F(-1, 10)),
+        ("normalization", "row a1b1", F(-1, 10)),
+        ("normalization", "row a2b2", F(1, 7)),
+        ("no-signaling", "alice setting a1 between rows a1b1 and a1b3", F(-1, 10)),
+        ("no-signaling", "alice setting a2 between rows a2b1 and a2b2", F(-1, 7)),
+        ("no-signaling", "bob setting b2 between rows a2b2 and a3b2", F(1, 7)),
+    ]
+
+
 def test_require_member_names_the_failing_constraint():
     bad = bp.matrix_222([[F(1, 2)] * 4] * 4)
     with pytest.raises(PreconditionError, match="normalization"):

@@ -23,6 +23,7 @@ from bellpoly.exactlin import (
     solve_square,
 )
 from bellpoly import InvariantViolationError
+from conftest import active_rows
 from oracles import phase1_solution, simplex_minimize
 
 F = Fraction
@@ -412,12 +413,11 @@ def test_estimator_kkt_solve_matches_dense_elimination():
 
 def test_vertex_certificate_rank_at_n4_matches_dense_elimination():
     """The active-row ranks that certify n=4 vertices (32 = vertex)."""
-    system = bp.build_constraints(bp.Scenario(4))
     box = bp.canonical_gpr(bp.Scenario(4))
     ld = bp.enumerate_lds(bp.Scenario(4))[5]
     for dm, expected in ((bp.as_matrix(box), 32), (bp.as_matrix(ld), 32),
                          (bp.mix([(box, Fraction(1, 2)), (ld, Fraction(1, 2))]), None)):
-        rows = [list(r.coeffs) for r in bp.active_rows(system, dm)]
+        rows = active_rows(dm)
         value = rank(rows)
         assert value == dense_rref(rows, len(rows[0]))[1]
         assert value == expected if expected else value < 32

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import bellpoly as bp
-from bellpoly import NotApplicableError, PreconditionError
+from bellpoly import NotApplicableError, PreconditionError, metrics
 from conftest import (
     random_local_222,
     random_nonlocal_222,
@@ -273,6 +273,19 @@ def test_kl_minimize_solves_the_reference_problem():
     assert weights == pytest.approx([0.125] * 8, abs=1e-9)
     assert iterations <= 100000
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kl_minimize_attaches_its_best_iterate_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(metrics, "KL_MAX_ITERATIONS", 1)
+    pr1 = bp.as_matrix(bp.pr_box(1))
+    skewed = [0.65, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05]
+    with pytest.raises(bp.NonConvergenceError, match="iteration cap") as info:
+        bp.kl_minimize(pr1, UNIFORM_SETTINGS, SATURATING, start=skewed)
+    weights, value, iterations = info.value.best
+    assert iterations == 1
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+    assert value == bp.kl_objective(pr1, UNIFORM_SETTINGS, SATURATING, weights)
+    assert value > math.log2(4 / 3)
 
 
 def test_kl_minimize_is_start_independent():

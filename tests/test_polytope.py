@@ -1,5 +1,5 @@
-"""The nonsignaling polytope as a constraint system: membership facets,
-active sets, extremality, and vertex enumeration."""
+"""The nonsignaling polytope's equality table and matrix, active sets,
+extremality, and vertex enumeration."""
 
 import itertools
 import math
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellpoly as bp
-from bellpoly import CapacityError
+from bellpoly import CapacityError, exactlin
 from bellpoly.polytope import extreme_rays
-from conftest import random_nonsignaling_222
+from conftest import active_rows, random_nonsignaling_222
 
 F = Fraction
 
@@ -28,70 +28,71 @@ def entry_set(matrices):
 
 
 def test_constraint_counts_at_n2():
-    system = bp.build_constraints(bp.SCENARIO_222)
-    assert len(system.rows) == 24
-    assert Counter(r.kind for r in system.rows) == {
-        "equality": 8,
-        "nonnegativity": 16,
-    }
-    assert [r.label for r in system.equalities()] == [
-        "normalization a1b1",
-        "normalization a2b1",
-        "normalization a2b2",
-        "normalization a1b2",
-        "no-signaling a1",
-        "no-signaling a2",
-        "no-signaling b1",
-        "no-signaling b2",
+    table = bp.equalities(bp.SCENARIO_222)
+    assert [(eq.constraint, eq.location, eq.bound) for eq in table] == [
+        ("normalization", "row a1b1", 1),
+        ("normalization", "row a2b1", 1),
+        ("normalization", "row a2b2", 1),
+        ("normalization", "row a1b2", 1),
+        ("no-signaling", "alice setting a1 between rows a1b1 and a1b2", 0),
+        ("no-signaling", "alice setting a2 between rows a2b1 and a2b2", 0),
+        ("no-signaling", "bob setting b1 between rows a1b1 and a2b1", 0),
+        ("no-signaling", "bob setting b2 between rows a2b2 and a1b2", 0),
+    ]
+    # Alice's + marginal is column ++ plus +0, Bob's is ++ plus 0+.
+    assert [(eq.plus, eq.minus) for eq in table[4:]] == [
+        ((0, 1), (12, 13)),
+        ((4, 5), (8, 9)),
+        ((0, 2), (4, 6)),
+        ((8, 10), (12, 14)),
     ]
 
 
 def test_constraint_counts_scale_with_the_chain():
     for n in (2, 3, 4):
-        system = bp.build_constraints(bp.Scenario(n))
-        assert len(system.rows) == 2 * n + 4 * 2 * n + 2 * n
-        assert len(system.equalities()) == 4 * n
-        assert len(system.nonnegativities()) == 8 * n
-        assert all(len(r.coeffs) == 8 * n for r in system.rows)
+        scenario = bp.Scenario(n)
+        table = bp.equalities(scenario)
+        assert Counter(eq.constraint for eq in table) == {
+            "normalization": 2 * n,
+            "no-signaling": 2 * n,
+        }
+        matrix = bp.equality_matrix(scenario)
+        assert len(matrix) == 4 * n
+        for eq, row in zip(table, matrix):
+            assert len(row) == 8 * n
+            assert row == tuple(
+                (k in eq.plus) - (k in eq.minus) for k in range(8 * n)
+            )
 
 
 def test_equality_system_has_full_rank():
-    for n in (2, 3):
-        system = bp.build_constraints(bp.Scenario(n))
-        coeffs = [r.coeffs for r in system.equalities()]
-        assert bp.rank_exact(coeffs) == 4 * n
+    for n in (2, 3, 4):
+        assert exactlin.rank(bp.equality_matrix(bp.Scenario(n))) == 4 * n
 
 
 def test_members_satisfy_every_constraint(rng):
-    system = bp.build_constraints(bp.SCENARIO_222)
+    bounds = [eq.bound for eq in bp.equalities(bp.SCENARIO_222)]
     for _ in range(10):
         dm = random_nonsignaling_222(rng)
         cells = [v for row in dm.entries for v in row]
-        for row in system.rows:
-            value = sum(c * x for c, x in zip(row.coeffs, cells))
-            if row.kind == "equality":
-                assert value == row.bound
-            else:
-                assert value <= row.bound
+        for row, bound in zip(bp.equality_matrix(bp.SCENARIO_222), bounds):
+            assert sum(c * x for c, x in zip(row, cells)) == bound
+        assert all(x >= 0 for x in cells)
 
 
 def test_active_rows_at_a_vertex():
-    system = bp.build_constraints(bp.SCENARIO_222)
     pr1 = bp.as_matrix(bp.pr_box(1))
-    active = bp.active_rows(system, pr1)
-    kinds = Counter(r.kind for r in active)
-    assert kinds["equality"] == 8
-    assert kinds["nonnegativity"] == 8  # one vanishing cell per support row pair
-    coeffs = [r.coeffs for r in active]
-    assert bp.rank_exact(coeffs) == 16
+    active = active_rows(pr1)
+    assert len(active) == 8 + 8  # the equalities and one zero per cell pair
+    assert exactlin.rank(active) == 16
+    assert bp.active_rank(pr1) == 16
 
 
-def test_active_rows_in_the_interior(rng):
-    system = bp.build_constraints(bp.SCENARIO_222)
+def test_active_rows_in_the_interior():
     uniform = bp.DistributionMatrix(bp.SCENARIO_222, ((F(1, 4),) * 4,) * 4)
-    active = bp.active_rows(system, uniform)
-    assert all(r.kind == "equality" for r in active)
-    assert len(active) == 8
+    active = active_rows(uniform)
+    assert active == [list(row) for row in bp.equality_matrix(bp.SCENARIO_222)]
+    assert bp.active_rank(uniform) == 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -99,7 +100,6 @@ def test_active_rank_matches_the_rank_of_the_active_rows(n):
     # zero cells plus the equalities' rank on the support, against the
     # rank of every active row over all 8n columns
     scenario = bp.Scenario(n)
-    system = bp.build_constraints(scenario)
     boxes = [bp.as_matrix(b) for b in bp.enumerate_lds(scenario)]
     boxes += [bp.as_matrix(b) for b in bp.enumerate_gprs(scenario)]
     rng = random.Random(n)
@@ -109,8 +109,7 @@ def test_active_rank_matches_the_rank_of_the_active_rows(n):
         weights = [F(rng.randint(1, 9)) for _ in chosen]
         points.append(bp.mix([(b, w / sum(weights)) for b, w in zip(chosen, weights)]))
     for dm in points:
-        full = bp.rank_exact([r.coeffs for r in bp.active_rows(system, dm)])
-        assert bp.active_rank(system, dm) == full
+        assert bp.active_rank(dm) == exactlin.rank(active_rows(dm))
 
 
 # ---------------------------------------------------------------------------
