@@ -195,16 +195,24 @@ def identify_gpr(dm: DistributionMatrix) -> GeneralizedPRBox | None:
 
     A no-signaling matrix can be nonlocal toward at most one box; two
     simultaneous sub-1 values mean the input was not a polytope member.
+
+    The answer is kept on ``dm`` itself, so only the first call on a
+    matrix object checks membership and scans the 2^(2n-1) boxes; every
+    later call on it, from any function in this package, returns the
+    same answer at once.  A failure is never kept: each call on a
+    non-member raises again.
     """
-    require_member(dm, context="identify_gpr")
-    hits = [
-        g for g in enumerate_gprs(dm.scenario) if chained_value(dm, g) < 1
-    ]
-    if len(hits) > 1:
-        raise InvariantViolationError(
-            f"matrix is nonlocal toward {len(hits)} generalized PR boxes"
-        )
-    return hits[0] if hits else None
+    if dm._identified is None:
+        require_member(dm, context="identify_gpr")
+        hits = [
+            g for g in enumerate_gprs(dm.scenario) if chained_value(dm, g) < 1
+        ]
+        if len(hits) > 1:
+            raise InvariantViolationError(
+                f"matrix is nonlocal toward {len(hits)} generalized PR boxes"
+            )
+        object.__setattr__(dm, "_identified", (hits[0] if hits else None,))
+    return dm._identified[0]
 
 
 def is_local_chained(dm: DistributionMatrix) -> bool:

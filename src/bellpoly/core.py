@@ -250,6 +250,13 @@ class DistributionMatrix:
 
     scenario: Scenario
     entries: tuple[tuple[Fraction, ...], ...]
+    #: :func:`~bellpoly.chained.identify_gpr`'s answer for this matrix,
+    #: kept by its first successful call as a 1-tuple (the violated box,
+    #: or ``None`` when local), so that the membership check and the box
+    #: scan run once per matrix object.  A class attribute until then,
+    #: and never a dataclass field, so ``==``, ``hash`` and ``repr``
+    #: ignore it.
+    _identified = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -304,6 +311,9 @@ class LocalDeterministic:
     scenario: Scenario
     a_assign: tuple[str, ...]
     b_assign: tuple[str, ...]
+    #: :meth:`matrix`, once built.  Not a dataclass field, so ``==``,
+    #: ``hash`` and ``repr`` ignore it.
+    _matrix = None
 
     def __post_init__(self) -> None:
         for name, assign in (("a_assign", self.a_assign), ("b_assign", self.b_assign)):
@@ -321,13 +331,14 @@ class LocalDeterministic:
         return COLUMN_INDEX[(self.a_assign[alice - 1], self.b_assign[bob - 1])]
 
     def matrix(self) -> DistributionMatrix:
-        return DistributionMatrix(
-            self.scenario,
-            tuple(
+        """The box's distribution matrix, built once per box object."""
+        if self._matrix is None:
+            rows = tuple(
                 UNIT_ROWS[self.outcome_column(i, j)]
                 for i, j in self.scenario.setting_pairs()
-            ),
-        )
+            )
+            object.__setattr__(self, "_matrix", DistributionMatrix(self.scenario, rows))
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -343,6 +354,9 @@ class GeneralizedPRBox:
 
     scenario: Scenario
     row_types: tuple[str, ...]
+    #: :meth:`matrix`, once built.  Not a dataclass field, so ``==``,
+    #: ``hash`` and ``repr`` ignore it.
+    _matrix = None
 
     def __post_init__(self) -> None:
         types = tuple(self.row_types)
@@ -360,11 +374,14 @@ class GeneralizedPRBox:
         object.__setattr__(self, "row_types", types)
 
     def matrix(self) -> DistributionMatrix:
-        rows = tuple(
-            CORRELATED_ROW if t == CORRELATED else ANTICORRELATED_ROW
-            for t in self.row_types
-        )
-        return DistributionMatrix(self.scenario, rows)
+        """The box's distribution matrix, built once per box object."""
+        if self._matrix is None:
+            rows = tuple(
+                CORRELATED_ROW if t == CORRELATED else ANTICORRELATED_ROW
+                for t in self.row_types
+            )
+            object.__setattr__(self, "_matrix", DistributionMatrix(self.scenario, rows))
+        return self._matrix
 
     def zero_columns(self, row: int) -> tuple[int, int]:
         """Columns where this box puts zero probability in ``row``."""

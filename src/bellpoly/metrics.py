@@ -18,10 +18,13 @@ saturating face of the violated CHSH inequality.  Both of its weights
 are read off chained values against the violated box; its one exact
 linear program is the final check that the mixture lies on the face.
 
-Each function identifies the violated box once per input matrix,
-through :func:`~bellpoly.chsh.violated_symmetry` (the chained engine at
-n=2), and that identification is the only membership check; the PR
-weight is 1 minus that box's chained value.
+Each function finds the violated box through
+:func:`~bellpoly.chsh.violated_symmetry` (the chained engine at n=2).
+:func:`~bellpoly.chained.identify_gpr` keeps its answer on the matrix,
+so the membership check and the box scan run once per input matrix,
+whichever function asks first, and that check is the only one; the
+decompositions, thresholds and estimator reuse the answer on the same
+matrix.  The PR weight is 1 minus that box's chained value.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ four-term rewrites of the CHSH quantity), the oracle carries its own
 literal copy so a transcription slip in the library is caught rather
 than reproduced.
 
+:func:`chained_minimum` checks box identification by trying every
+row-type pattern on integer numerators, without the library's box
+types, enumeration or chained functional.
+
 The exact LP in :func:`tv_lp_oracle` is solved by this module's own
 dense-tableau simplex over ``Fraction``s (:func:`simplex_minimize`), so
 it shares no code with ``bellpoly.exactlin``, whose integer-preserving
@@ -17,6 +21,7 @@ this simplex's phase 1, a dense elimination and a brute-force LP.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -69,6 +74,41 @@ def chsh_direct(dm: DistributionMatrix, index: int) -> Fraction:
 
 def all_chsh_direct(dm: DistributionMatrix) -> tuple[Fraction, ...]:
     return tuple(chsh_direct(dm, k) for k in range(1, 9))
+
+
+# ---------------------------------------------------------------------------
+# The least chained value, by brute force over row-type patterns
+# ---------------------------------------------------------------------------
+
+# Columns ++, +0, 0+, 00 that a perfectly correlated ("C") or
+# anticorrelated ("A") row leaves empty.
+_EMPTY_COLUMNS = {"C": (1, 2), "A": (0, 3)}
+
+
+def chained_minimum(dm: DistributionMatrix) -> tuple[Fraction, list[str]]:
+    """The least chained value of ``dm`` over every row-type pattern with
+    an odd number of ``A`` rows, and every pattern reaching it.
+
+    Each pattern's value is the probability in the cells its rows leave
+    empty, summed as integer numerators over one common denominator.  A
+    polytope member is nonlocal exactly when the least value is below 1,
+    and then exactly one pattern reaches it.
+    """
+    denominator = math.lcm(*(v.denominator for row in dm.entries for v in row))
+    numerators = [[v.numerator * (denominator // v.denominator) for v in row]
+                  for row in dm.entries]
+    empty = [{t: sum(row[c] for c in cols) for t, cols in _EMPTY_COLUMNS.items()}
+             for row in numerators]
+    best, reaching = None, []
+    for pattern in itertools.product("CA", repeat=len(numerators)):
+        if pattern.count("A") % 2 == 0:
+            continue
+        value = sum(row[t] for row, t in zip(empty, pattern))
+        if best is None or value < best:
+            best, reaching = value, []
+        if value == best:
+            reaching.append("".join(pattern))
+    return Fraction(best, denominator), reaching
 
 
 # ---------------------------------------------------------------------------

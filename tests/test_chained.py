@@ -6,8 +6,14 @@ from fractions import Fraction
 import pytest
 
 import bellpoly as bp
+import oracles
 from bellpoly import NotApplicableError, PreconditionError
-from conftest import random_chained_mixture, random_gpr, random_nonlocal_222
+from conftest import (
+    random_chained_mixture,
+    random_gpr,
+    random_nonlocal_222,
+    rational_weights,
+)
 
 F = Fraction
 
@@ -314,6 +320,40 @@ def test_identify_gpr_on_catalog_boxes():
         assert found is not None and found.row_types == g.row_types
     for d in bp.enumerate_lds(SCENARIO_3)[:8]:
         assert bp.identify_gpr(bp.as_matrix(d)) is None
+
+
+def _identification_cases(rng, scenario):
+    """Seeded nonlocal and local mixtures, then facet points whose least
+    chained value is exactly 1: the uniform mixture of a box's 4n
+    one-mismatch companions, and 2/3 of a box with 1/3 of a deterministic
+    box that has three mismatches against it."""
+    lds = bp.enumerate_lds(scenario)
+    for _ in range(4):
+        yield random_chained_mixture(rng, scenario)[0]
+    for _ in range(3):
+        chosen = rng.sample(lds, rng.randint(2, 6))
+        weights = rational_weights(rng, len(chosen))
+        yield bp.mix([(d, w) for d, w in zip(chosen, weights) if w])
+    for _ in range(2):
+        g = random_gpr(rng, scenario)
+        companions = bp.one_support_mismatches(g).values()
+        yield bp.mix([(d, F(1, len(companions))) for d in companions])
+        three = [d for d in lds if bp.support_mismatch_count(g, d) == 3]
+        yield bp.mix([(g, F(2, 3)), (rng.choice(three), F(1, 3))])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_identify_gpr_agrees_with_the_brute_force_minimum(rng, n):
+    ties = 0
+    for dm in _identification_cases(rng, bp.Scenario(n)):
+        least, reaching = oracles.chained_minimum(dm)
+        found = bp.identify_gpr(dm)
+        if least < 1:
+            assert reaching == ["".join(found.row_types)]
+        else:
+            assert found is None
+            ties += least == 1
+    assert ties >= 4  # the facet points; a local mixture may tie too
 
 
 def test_decompose_chained_recovers_exact_construction(rng):

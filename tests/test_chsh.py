@@ -168,7 +168,7 @@ PINNED_LOCAL_DECOMPOSITIONS = {
 
 
 def _pinned_local_matrix(name):
-    if name == "two-box":  # test_core's _LOCAL
+    if name == "two-box":  # test_core's _LOCAL_TERMS
         return bp.mix([(bp.ld_box(1), F(1, 3)), (bp.ld_box(16), F(2, 3))])
     if name == "uniform":
         return bp.mix([(bp.ld_box(i), F(1, 16)) for i in range(1, 17)])

@@ -10,6 +10,7 @@ from bellpoly import (
     NormalizationError,
     PreconditionError,
     ShapeError,
+    chained,
     core,
 )
 
@@ -220,7 +221,7 @@ def test_require_member_names_the_failing_constraint():
 
 
 _PR1 = bp.as_matrix(bp.pr_box(1))
-_LOCAL = bp.mix([(bp.ld_box(1), F(1, 3)), (bp.ld_box(16), F(2, 3))])
+_LOCAL_TERMS = [(bp.ld_box(1), F(1, 3)), (bp.ld_box(16), F(2, 3))]
 _UNIFORM = bp.SettingsDistribution.uniform(bp.SCENARIO_222)
 # Each public call that needs a polytope member, as a function of the
 # matrix under test.
@@ -230,7 +231,9 @@ _MEMBER_CALLS = {
     "decompose_local_222": bp.decompose_local_222,
     "tv_closest_local": bp.tv_closest_local,
     "kl_closest_local": lambda dm: bp.kl_closest_local(dm, _UNIFORM),
-    "face_projection(q)": lambda dm: bp.face_projection(dm, _LOCAL),
+    # A fresh local matrix per call: identify_gpr keeps its answer on the
+    # matrix, so a shared one would be checked by the first test only.
+    "face_projection(q)": lambda dm: bp.face_projection(dm, bp.mix(_LOCAL_TERMS)),
     "face_projection(s_local)": lambda dm: bp.face_projection(_PR1, dm),
     "critical_efficiency": bp.critical_efficiency,
     "critical_efficiency_exact": bp.critical_efficiency_exact,
@@ -259,6 +262,18 @@ def test_member_operations_reject_non_members(call, bad):
         call(bad)
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "name, validations",
     [
@@ -274,17 +289,86 @@ def test_member_operations_reject_non_members(call, bad):
 def test_each_public_call_checks_membership_once_per_matrix(
     monkeypatch, name, validations
 ):
-    calls = []
-    original = core.validate
-
-    def counted(dm):
-        calls.append(dm)
-        return original(dm)
-
-    monkeypatch.setattr(core, "validate", counted)
+    calls = _count_calls(monkeypatch, core, "validate")
     saturating = bp.ld_box(min(bp.SATURATING_SET_1))
     _MEMBER_CALLS[name](bp.mix([(_PR1, F(3, 5)), (saturating, F(2, 5))]))
     assert len(calls) == validations
+
+
+def _chained_member(n=3):
+    g = bp.canonical_gpr(bp.Scenario(n))
+    companions = list(bp.one_support_mismatches(g).values())
+    return bp.mix([(g, F(1, 3))] + [(d, F(2, 3 * len(companions))) for d in companions])
+
+
+def test_one_identification_serves_every_call_on_a_matrix(monkeypatch):
+    validations = _count_calls(monkeypatch, core, "validate")
+    values = _count_calls(monkeypatch, chained, "chained_value")
+    dm = _chained_member()
+    g = bp.identify_gpr(dm)
+    assert bp.decompose_chained(dm).pr_term[0] is g
+    assert bp.tightness_witness(dm)[0] == F(2, 3)
+    assert bp.critical_efficiency_exact(dm) is not None
+    assert bp.identify_gpr(dm) is g
+    assert len(validations) == 1
+    # One scan, plus tightness_witness's own check of the box's value.
+    assert len(values) == len(bp.enumerate_gprs(dm.scenario)) + 1
+
+
+def test_identification_keeps_local_answers(monkeypatch):
+    validations = _count_calls(monkeypatch, core, "validate")
+    dm = bp.mix([(bp.ld_box(1), F(1, 2)), (bp.ld_box(4), F(1, 2))])
+    assert bp.identify_gpr(dm) is None
+    assert bp.critical_efficiency_exact(dm) is None
+    with pytest.raises(bp.NotApplicableError):
+        bp.decompose_chained(dm)
+    assert len(validations) == 1
+
+
+def test_identification_of_a_non_member_fails_on_every_call(monkeypatch):
+    validations = _count_calls(monkeypatch, core, "validate")
+    bad = _NON_MEMBERS["signaling"]
+    for call in (bp.identify_gpr, bp.identify_gpr, bp.decompose_chained):
+        with pytest.raises(PreconditionError, match="no-signaling distribution matrix"):
+            call(bad)
+    assert len(validations) == 3
+
+
+def test_identification_never_keeps_an_invariant_failure(monkeypatch):
+    dm = _chained_member()
+    monkeypatch.setattr(chained, "chained_value", lambda dm, g: F(0))
+    for _ in range(2):
+        with pytest.raises(bp.InvariantViolationError, match="nonlocal toward"):
+            bp.identify_gpr(dm)
+    monkeypatch.undo()
+    assert bp.identify_gpr(dm) == bp.canonical_gpr(dm.scenario)
+
+
+def test_equal_matrices_are_identified_separately(monkeypatch):
+    validations = _count_calls(monkeypatch, core, "validate")
+    first, second = _chained_member(), _chained_member()
+    assert first == second and first is not second
+    bp.identify_gpr(first)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    bp.identify_gpr(second)
+    assert len(validations) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bp.LocalDeterministic(bp.Scenario(3), "+0+", "00+"),
+    lambda: bp.canonical_gpr(bp.Scenario(3)),
+], ids=["deterministic", "pr"])
+def test_a_box_builds_its_matrix_once(make):
+    box, twin = make(), make()
+    matrix = bp.as_matrix(box)
+    assert bp.as_matrix(box) is matrix
+    assert box.matrix() is matrix
+    assert bp.as_matrix(twin) == matrix and bp.as_matrix(twin) is not matrix
+    fresh = make()
+    assert box == fresh and hash(box) == hash(fresh) and repr(box) == repr(fresh)
+    assert {box: 1}[fresh] == 1
 
 
 # ---------------------------------------------------------------------------
