@@ -705,6 +705,19 @@ def equalities(scenario: Scenario) -> tuple[Equality, ...]:
     return tuple(table)
 
 
+def _numerator_sum(d: int, indices: tuple[int, ...], nums: list[int],
+                   dens: list[int]) -> int | None:
+    """``d`` times the sum of the cells at ``indices``, an integer, or
+    ``None`` when some cell's denominator does not divide ``d``."""
+    total = 0
+    for k in indices:
+        q, r = divmod(d, dens[k])
+        if r:
+            return None
+        total += nums[k] * q
+    return total
+
+
 def validate(dm: DistributionMatrix) -> list[Violation]:
     """Check membership in the no-signaling polytope.
 
@@ -712,26 +725,42 @@ def validate(dm: DistributionMatrix) -> list[Violation]:
     cell, then each failed entry of :func:`equalities` in table order,
     with residual ``sum(plus) - bound - sum(minus)``.  An empty report
     means the matrix is a polytope member.
+
+    A cell's sign is its numerator's.  Each equality is summed on its
+    own, in integers: the numerators of its (at most four) cells over
+    the largest of their denominators, when that is a multiple of the
+    others and so their lcm.  Otherwise, as with unrelated large
+    denominators, the cells are added as ``Fraction``s, whose gcd at
+    each addition keeps the sum smaller than their lcm.  A ``Fraction``
+    residual is built only for a failed equality.
     """
     cells = [v for row in dm.entries for v in row]
+    nums = [v.numerator for v in cells]
+    dens = [v.denominator for v in cells]
     violations = [
         Violation(
             "nonnegativity",
             f"cell ({dm.scenario.row_labels()[k // 4]}, {COLUMNS[k % 4]})",
-            v,
+            cells[k],
         )
-        for k, v in enumerate(cells)
-        if v < 0
+        for k, p in enumerate(nums)
+        if p < 0
     ]
     for eq in equalities(dm.scenario):
-        total = cells[eq.plus[0]]
-        for k in eq.plus[1:]:
-            total += cells[k]
-        target = eq.bound
-        for k in eq.minus:
-            target += cells[k]
-        if total != target:
-            violations.append(Violation(eq.constraint, eq.location, total - target))
+        d = max([dens[k] for k in eq.plus + eq.minus])
+        plus = _numerator_sum(d, eq.plus, nums, dens)
+        minus = _numerator_sum(d, eq.minus, nums, dens)
+        if plus is None or minus is None:
+            residual = (
+                sum(cells[k] for k in eq.plus)
+                - eq.bound
+                - sum(cells[k] for k in eq.minus)
+            )
+        else:
+            numerator = plus - minus - eq.bound * d
+            residual = Fraction(numerator, d) if numerator else 0
+        if residual:
+            violations.append(Violation(eq.constraint, eq.location, residual))
     return violations
 
 

@@ -5,10 +5,11 @@ Every routine takes rationals (ints or :class:`fractions.Fraction`) and
 returns ``Fraction``s, but all of them run on one integer-preserving
 Gauss-Jordan kernel (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp.
 22, 1968).  Each input row is scaled to integers by the lcm of its own
-denominators, which changes neither its solutions nor its row space, and
-the matrix keeps one common denominator ``d``: the rational matrix is the
-integer one divided by ``d``.  A pivot on the entry ``p`` updates every
-other row as ``(row * p - f * pivot_row) // d`` and then takes ``d = p``.
+denominators, which changes neither its solutions nor its row space; a
+row of ints is only copied.  The matrix keeps one common denominator
+``d``: the rational matrix is the integer one divided by ``d``.  A pivot
+on the entry ``p`` updates every other row as
+``(row * p - f * pivot_row) // d`` and then takes ``d = p``.
 Every entry is then a minor of the scaled input, so the one division per
 update is exact and the integers never grow past those minors.  A
 ``Fraction`` operation would instead normalise by a gcd each time; here
@@ -38,8 +39,12 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 
 def _scaled(rows) -> list[list[int]]:
-    """Each row times the lcm of its entries' denominators."""
-    return [common_denominator(row)[0] for row in rows]
+    """Each row times the lcm of its entries' denominators; a row of
+    ints is copied as it is."""
+    return [
+        list(row) if all(type(v) is int for v in row) else common_denominator(row)[0]
+        for row in rows
+    ]
 
 
 def _augmented(rows, rhs) -> list[list[int]]:
