@@ -729,10 +729,10 @@ def validate(dm: DistributionMatrix) -> list[Violation]:
     A cell's sign is its numerator's.  Each equality is summed on its
     own, in integers: the numerators of its (at most four) cells over
     the largest of their denominators, when that is a multiple of the
-    others and so their lcm.  Otherwise, as with unrelated large
-    denominators, the cells are added as ``Fraction``s, whose gcd at
-    each addition keeps the sum smaller than their lcm.  A ``Fraction``
-    residual is built only for a failed equality.
+    others and so their lcm.  Otherwise the cells are added as
+    ``Fraction``s: for unrelated large denominators, taking their lcm
+    and reducing the sum over it costs more than ``Fraction`` addition
+    does.  A ``Fraction`` residual is built only for a failed equality.
     """
     cells = [v for row in dm.entries for v in row]
     nums = [v.numerator for v in cells]
@@ -749,13 +749,11 @@ def validate(dm: DistributionMatrix) -> list[Violation]:
     for eq in equalities(dm.scenario):
         d = max([dens[k] for k in eq.plus + eq.minus])
         plus = _numerator_sum(d, eq.plus, nums, dens)
-        minus = _numerator_sum(d, eq.minus, nums, dens)
-        if plus is None or minus is None:
-            residual = (
-                sum(cells[k] for k in eq.plus)
-                - eq.bound
-                - sum(cells[k] for k in eq.minus)
-            )
+        minus = None if plus is None else _numerator_sum(d, eq.minus, nums, dens)
+        if minus is None:
+            total = sum([cells[k] for k in eq.plus[1:]], cells[eq.plus[0]])
+            target = sum([cells[k] for k in eq.minus], eq.bound)
+            residual = total - target if total != target else 0
         else:
             numerator = plus - minus - eq.bound * d
             residual = Fraction(numerator, d) if numerator else 0

@@ -153,7 +153,7 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
     (:func:`extreme_rays`; the polytope is bounded, so ``t > 0`` on
     every one).  Each vertex is then certified exactly: it passes
     :func:`~bellpoly.core.validate` and its active rows reach rank 8n.
-    n=4 (384 vertices) takes about 0.35 s on a 2-vCPU Xeon VM (Python
+    n=4 (384 vertices) takes 0.2-0.35 s on a 2-vCPU Xeon VM (Python
     3.11); larger n raises :class:`CapacityError`.
     """
     if scenario.n > 4:

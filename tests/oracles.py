@@ -8,6 +8,9 @@ four-term rewrites of the CHSH quantity), the oracle carries its own
 literal copy so a transcription slip in the library is caught rather
 than reproduced.
 
+:func:`validate_direct` recomputes membership reports by summing cells
+over the scenario's setting pairs, without the library's equality table.
+
 :func:`chained_minimum` checks box identification by trying every
 row-type pattern on integer numerators, without the library's box
 types, enumeration or chained functional.
@@ -50,6 +53,41 @@ def cells_of(dm: DistributionMatrix) -> tuple[tuple[Fraction, ...], ...]:
 def correlator(row: tuple[Fraction, ...]) -> Fraction:
     """P(++) - P(+0) - P(0+) + P(00) for one settings row."""
     return row[0] - row[1] - row[2] + row[3]
+
+
+# ---------------------------------------------------------------------------
+# Polytope membership from the setting pairs
+# ---------------------------------------------------------------------------
+
+# Columns ++, +0, 0+, 00 that hold each party's "+" outcome.
+_PLUS_COLUMNS = ((0, 1), (0, 2))  # Alice, Bob
+
+
+def validate_direct(dm: DistributionMatrix) -> list[tuple[str, Fraction]]:
+    """Every failed membership constraint of ``dm`` as ``(kind,
+    residual)``, in ``validate``'s documented order, by plain
+    ``Fraction`` sums.
+
+    The order: each negative cell, row-major (residual: the cell); each
+    row not summing to 1 (residual: its sum minus 1); then, for Alice's
+    settings and then Bob's, in ascending order, the two rows of the
+    scenario's setting pairs that measure the setting, when their ``+``
+    marginals differ (residual: the first row's minus the second's).
+    Built from ``setting_pairs``, not from the library's equality table.
+    """
+    rows = cells_of(dm)
+    pairs = dm.scenario.setting_pairs()
+    found = [("nonnegativity", v) for row in rows for v in row if v < 0]
+    found += [("normalization", sum(row) - 1) for row in rows if sum(row) != 1]
+    for party, columns in enumerate(_PLUS_COLUMNS):
+        for setting in range(1, dm.scenario.n + 1):
+            first, second = [
+                rows[r] for r, pair in enumerate(pairs) if pair[party] == setting
+            ]
+            residual = sum(first[c] for c in columns) - sum(second[c] for c in columns)
+            if residual:
+                found.append(("no-signaling", residual))
+    return found
 
 
 # ---------------------------------------------------------------------------

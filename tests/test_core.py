@@ -1,5 +1,7 @@
 """Scenarios, boxes, catalogs, mixing, validation, outcome flips, saturating sets."""
 
+import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from bellpoly import (
     chained,
     core,
 )
+import oracles
 
 F = Fraction
 
@@ -212,6 +215,51 @@ def test_validate_reports_every_kind_of_violation_in_table_order():
         ("no-signaling", "alice setting a2 between rows a2b1 and a2b2", F(-1, 7)),
         ("no-signaling", "bob setting b2 between rows a2b2 and a3b2", F(1, 7)),
     ]
+
+
+# Denominators up to about 10^40: products of distinct primes, so that
+# the cells of one equality often have unrelated denominators, or any
+# integer in range.
+_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1_000_003, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+_DENOMINATORS = st.one_of(
+    st.sets(st.sampled_from(_PRIMES), min_size=1, max_size=3).map(math.prod),
+    st.integers(1, 10**40),
+)
+
+
+@functools.cache
+def _vertices(n):
+    scenario = bp.Scenario(n)
+    return bp.enumerate_lds(scenario) + bp.enumerate_gprs(scenario)
+
+
+@hyp_settings(deadline=None)
+@given(st.data())
+def test_validate_matches_the_fraction_reference(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    kind = data.draw(st.sampled_from(["member", "perturbed", "arbitrary"]), label="kind")
+    if kind == "arbitrary":
+        cell = st.builds(F, st.integers(-(10**6), 10**6), _DENOMINATORS)
+        rows = data.draw(st.lists(st.lists(cell, min_size=4, max_size=4),
+                                  min_size=2 * n, max_size=2 * n))
+    else:
+        weights = data.draw(st.lists(st.builds(F, st.integers(1, 10**6), _DENOMINATORS),
+                                     min_size=1, max_size=4))
+        boxes = data.draw(st.lists(st.sampled_from(_vertices(n)),
+                                   min_size=len(weights), max_size=len(weights)))
+        member = bp.mix(zip(boxes, [w / sum(weights) for w in weights]))
+        assert bp.validate(member) == []
+        rows = [list(row) for row in member.entries]
+    if kind == "perturbed":
+        # residuals of both signs, and negative cells where a zero moves down
+        for _ in range(data.draw(st.integers(1, 4))):
+            r, c = data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 3))
+            rows[r][c] += data.draw(st.builds(F, st.integers(-(10**6), 10**6), _DENOMINATORS))
+    dm = bp.DistributionMatrix(bp.Scenario(n), rows)
+    expected = oracles.validate_direct(dm)
+    assert [(v.constraint, v.residual) for v in bp.validate(dm)] == expected
+    if kind == "member":
+        assert expected == []
 
 
 def test_require_member_names_the_failing_constraint():

@@ -194,7 +194,7 @@ def test_simplex_minimize_respects_degenerate_ties(shift):
 #
 # The library's elimination works on integer rows over one common
 # denominator.  These tests run it on small matrices, about half of whose
-# entries are zero, with integer or rational entries, next to a plain
+# entries are zero, with int, Fraction or mixed entries, next to a plain
 # dense Gauss-Jordan elimination on Fractions, next to a brute-force LP
 # over basic solutions, and next to the oracle simplex's phase 1.
 
@@ -202,7 +202,14 @@ sparse_entries = st.one_of(st.just(0), st.integers(-3, 3).filter(bool))
 rational_entries = st.one_of(
     st.just(0), st.fractions(-4, 4, max_denominator=6).filter(bool)
 )
-integer_or_rational = st.sampled_from([sparse_entries, rational_entries])
+# ints, Fractions (integral ones too), or each entry either: a row of
+# ints is copied as it is, any other row is scaled by its denominators.
+integer_or_rational = st.sampled_from([
+    sparse_entries,
+    rational_entries,
+    sparse_entries.map(F),
+    st.one_of(sparse_entries, rational_entries, sparse_entries.map(F)),
+])
 
 
 def sparse_vectors(size, entries=sparse_entries):
@@ -273,6 +280,28 @@ def bfs_minimum(costs, rows, rhs):
         if best is None or value < best:
             best = value
     return best
+
+
+def test_int_rows_are_left_as_the_caller_gave_them():
+    matrix = bp.equality_matrix(bp.Scenario(3))  # 12 x 24 int tuples
+    rows = [list(row) for row in matrix]
+    given_rows = [list(row) for row in matrix]
+    assert rank(matrix) == rank(rows) == 12
+    basis = []
+    for c in range(24):
+        if rank([[row[k] for k in (*basis, c)] for row in rows]) > len(basis):
+            basis.append(c)
+    square = [[row[k] for k in basis] for row in rows]
+    given_square = [list(row) for row in square]
+    rhs = [1] * 6 + [0] * 6
+    aug, r = dense_rref([row + [b] for row, b in zip(square, rhs)], 12)
+    assert r == 12
+    assert solve_square(square, rhs) == [row[-1] for row in aug]
+    redundant = rows + [[a + b for a, b in zip(rows[0], rows[6])]]
+    assert reduce_system(redundant, rhs + [1]) == dense_reduce(redundant, rhs + [1])
+    assert reduce_system(matrix, rhs) == dense_reduce(matrix, rhs)
+    assert rows == given_rows and square == given_square
+    assert matrix == tuple(map(tuple, given_rows))
 
 
 @given(st.data())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellpoly as bp
-from bellpoly import CapacityError, exactlin
+from bellpoly import CapacityError, InvariantViolationError, exactlin, polytope
 from bellpoly.polytope import extreme_rays
 from conftest import active_rows, random_nonsignaling_222
 
@@ -158,6 +158,49 @@ def test_boundary_points_need_not_be_extremal():
     assert not bp.is_extremal(even_flips)
 
 
+def faces_by_zero_count(n):
+    """Members with exactly 4n - 1, 4n and 4n + 1 zero cells, keyed by
+    that count: a generalized PR box (a vertex) and equal mixtures of
+    two boxes, which are not vertices."""
+    scenario = bp.Scenario(n)
+    g = bp.canonical_gpr(scenario)
+    companion = next(iter(bp.one_support_mismatches(g).values()))
+
+    def ld(a, b):
+        return bp.LocalDeterministic(scenario, tuple(a), tuple(b))
+
+    def half(x, y):
+        return bp.mix([(x, F(1, 2)), (y, F(1, 2))])
+
+    pluses, zeros = "+" * n, "0" * n
+    # The support of a box plus one mismatched cell.
+    below = [half(g, companion)]
+    # Two deterministic boxes that differ on every row.
+    at = [bp.as_matrix(g), half(ld(pluses, pluses), ld(zeros, zeros))]
+    # Two that agree on row a1b1 only.
+    flipped = "+" + "0" * (n - 1)
+    above = [half(ld(pluses, pluses), ld(flipped, flipped))]
+    return {4 * n - 1: below, 4 * n: at, 4 * n + 1: above}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_extremal_at_the_edge_of_the_zero_count_exit(monkeypatch, n):
+    # Below 4n zero cells a member cannot be a vertex, and is_extremal
+    # answers without a rank; from 4n on, it takes the rank.
+    original = exactlin.rank
+    ranks = []
+    monkeypatch.setattr(exactlin, "rank", lambda rows: ranks.append(rows) or original(rows))
+    answers = {}
+    for count, members in faces_by_zero_count(n).items():
+        for dm in members:
+            assert sum(v == 0 for row in dm.entries for v in row) == count
+            ranks.clear()
+            answers.setdefault(count, []).append(bp.is_extremal(dm))
+            assert answers[count][-1] == (original(active_rows(dm)) == 8 * n)
+            assert bool(ranks) == (count >= 4 * n)
+    assert answers == {4 * n - 1: [False], 4 * n: [True, False], 4 * n + 1: [False]}
+
+
 # ---------------------------------------------------------------------------
 # Vertex enumeration
 # ---------------------------------------------------------------------------
@@ -178,8 +221,26 @@ def test_vertex_enumeration_at_n4_matches_the_box_catalogs():
     lds, gprs = bp.enumerate_lds(scenario), bp.enumerate_gprs(scenario)
     assert (len(lds), len(gprs), len(vertices)) == (256, 128, 384)
     assert entry_set(vertices) == entry_set(map(bp.as_matrix, lds + gprs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vertices_come_in_ascending_order_of_their_cells(n):
+    vertices = bp.enumerate_vertices(bp.Scenario(n))
+    assert len(vertices) == 4**n + 2 ** (2 * n - 1)
     keys = [[v for row in dm.entries for v in row] for dm in vertices]
     assert keys == sorted(keys)
+
+
+def test_vertex_enumeration_certifies_every_point(monkeypatch):
+    # A ray that is the sum of two extreme rays gives the midpoint-like
+    # mixture of two vertices: a member, but not a vertex.
+    def with_a_sum(rows, dim):
+        rays = extreme_rays(rows, dim)
+        return rays + [tuple(a + b for a, b in zip(rays[0], rays[1]))]
+
+    monkeypatch.setattr(polytope, "extreme_rays", with_a_sum)
+    with pytest.raises(InvariantViolationError, match="not a vertex"):
+        bp.enumerate_vertices(bp.SCENARIO_222)
 
 
 def test_vertex_enumeration_guards_slow_cases():
