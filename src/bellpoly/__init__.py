@@ -17,7 +17,7 @@ order, columns ``++ +0 0+ 00``), and provides:
   rational weights,
 * distance measures to the local polytope (total variation exactly,
   Kullback-Leibler numerically, with a Frank-Wolfe gap certificate) and
-  a face projection,
+  a face projection at every n,
 * detector-efficiency transforms and exact critical thresholds (a
   rational or a quadratic surd),
 * vertex enumeration with exact extremality certificates.
@@ -63,9 +63,7 @@ from .chsh import (
     estimator_quadratic,
     estimator_weights,
     is_local_222,
-    ld_index_of,
     pair_replacement,
-    pr_index_of,
     readoff_222,
     row_correlators,
     uniform_pair_mixture,
@@ -102,9 +100,11 @@ from .core import (
     enumerate_lds,
     equalities,
     ld_box,
+    ld_index_of,
     matrix_222,
     mix,
     pr_box,
+    pr_index_of,
     require_member,
     rows_as_222,
     validate,

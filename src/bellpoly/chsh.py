@@ -1,6 +1,7 @@
-"""The n=2 catalog on top of the chained engine: the paper's numbering
-of the 24 vertices, the 8 CHSH symmetries and their functionals, the
-replacement tables, and the single-cell violation estimator.
+"""The n=2 catalog on top of the chained engine: the 8 CHSH symmetries
+and their functionals, the replacement tables, and the single-cell
+violation estimator, all named by the paper's numbering of the 24
+vertices (which :mod:`bellpoly.core` keeps, next to the catalog).
 
 Each of the 8 PR boxes sits above one CHSH facet of the local polytope;
 the facet inequality, the outcome flips that carry the box onto PR box 1
@@ -48,15 +49,16 @@ from .core import (
     PreconditionError,
     SCENARIO_222,
     SettingsDistribution,
-    catalog_222,
+    _LD_INDEX,
+    _PR_INDEX,
     ld_box,
+    ld_index_of,
     mix,
     pr_box,
+    pr_index_of,
     require_member,
 )
-
-_PR_INDEX = {box: k for k, box in enumerate(catalog_222()[0], start=1)}
-_LD_INDEX = {box: k for k, box in enumerate(catalog_222()[1], start=1)}
+from .metrics import tv_distance
 
 
 def _ld_indices(boxes) -> tuple[int, ...]:
@@ -115,24 +117,6 @@ class ChshSymmetry:
     index: int
     flips: tuple[int, int, int, int]
     saturating_set: frozenset[int]
-
-
-@functools.cache
-def _matrix_indexes() -> tuple[dict, dict]:
-    return (
-        {box.matrix(): k for box, k in _PR_INDEX.items()},
-        {box.matrix(): k for box, k in _LD_INDEX.items()},
-    )
-
-
-def ld_index_of(matrix: DistributionMatrix) -> int | None:
-    """Catalog index of the deterministic box with this matrix, if any."""
-    return _matrix_indexes()[1].get(matrix)
-
-
-def pr_index_of(matrix: DistributionMatrix) -> int | None:
-    """Catalog index of the PR box with this matrix, if any."""
-    return _matrix_indexes()[0].get(matrix)
 
 
 def _outcome_flips(k: int) -> tuple[int, int, int, int]:
@@ -261,15 +245,7 @@ def readoff_222(
         (pr, pr_weight) if pr_weight > 0 else None,
         tuple((box, w) for box, w in ld_terms if w > 0),
     )
-    residual = sum(
-        (
-            abs(a - b)
-            for ra, rb in zip(dec.mixture().entries, dm.entries)
-            for a, b in zip(ra, rb)
-        ),
-        Fraction(0),
-    ) / 2
-    return dec, residual
+    return dec, tv_distance(dec.mixture(), dm)
 
 
 def decompose_222(dm: DistributionMatrix) -> Decomposition:
@@ -287,27 +263,19 @@ def decompose_local_222(dm: DistributionMatrix) -> Decomposition:
     """Some exact convex decomposition of a local matrix into at most 9
     deterministic boxes, found by exact linear-feasibility search."""
     require_member(dm, context="decompose_local_222")
-    solution = ld_mixture_weights(dm, range(1, 17))
+    boxes = [ld_box(i) for i in range(1, 17)]
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    rows = [[box.matrix().entries[r][c] for box in boxes] for r, c in cells]
+    rows.append([Fraction(1)] * len(boxes))
+    rhs = [dm.entries[r][c] for r, c in cells] + [Fraction(1)]
+    solution = exactlin.simplex_feasible(rows, rhs)
     if solution is None:
         raise NotApplicableError(
             "matrix admits no local decomposition (it violates a CHSH "
             "symmetry); use decompose_222"
         )
-    terms = tuple(
-        (ld_box(i), w) for i, w in enumerate(solution, start=1) if w > 0
-    )
+    terms = tuple((box, w) for box, w in zip(boxes, solution) if w > 0)
     return Decomposition(dm.scenario, None, terms)
-
-
-def ld_mixture_weights(dm: DistributionMatrix, indices) -> list[Fraction] | None:
-    """Exact weights over the listed deterministic boxes (catalog
-    indices) whose mixture is ``dm``, or ``None`` when there are none."""
-    columns = [ld_box(i).matrix().entries for i in indices]
-    cells = [(r, c) for r in range(4) for c in range(4)]
-    rows = [[m[r][c] for m in columns] for r, c in cells]
-    rows.append([Fraction(1)] * len(columns))
-    rhs = [dm.entries[r][c] for r, c in cells] + [Fraction(1)]
-    return exactlin.simplex_feasible(rows, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from .core import (
     Scenario,
     SettingsDistribution,
     ShapeError,
+    _LD_INDEX,
+    _PR_INDEX,
     as_fraction,
     enumerate_gprs,
     enumerate_lds,
@@ -85,7 +87,7 @@ def _decomposition_doc(dec: Decomposition) -> dict:
             "row_types": "".join(box.row_types),
             "weight": _num(w),
         }
-        index = chsh.pr_index_of(box.matrix()) if dec.scenario.n == 2 else None
+        index = _PR_INDEX.get(box)
         if index is not None:
             term["index"] = index
         doc["terms"].append(term)
@@ -96,7 +98,7 @@ def _decomposition_doc(dec: Decomposition) -> dict:
             "b_assign": "".join(box.b_assign),
             "weight": _num(w),
         }
-        index = chsh.ld_index_of(box.matrix()) if dec.scenario.n == 2 else None
+        index = _LD_INDEX.get(box)
         if index is not None:
             term["index"] = index
         doc["terms"].append(term)
@@ -404,7 +406,10 @@ def _cmd_eta(args) -> int:
     dm, settings, warnings = _load_member(args.file)
     eta_a = as_fraction(args.value)
     eta_b = as_fraction(args.value_b) if args.value_b is not None else eta_a
-    params = efficiency.EfficiencyParams(eta_a, eta_b)
+    try:
+        params = efficiency.EfficiencyParams(eta_a, eta_b)
+    except PreconditionError as exc:  # an out-of-range option value
+        raise ShapeError(str(exc)) from None
     transformed = efficiency.apply_efficiency(dm, params)
     result = {
         "eta_a": _num(params.eta_a),

@@ -16,7 +16,10 @@ local deterministic boxes (an outcome assignment per setting) and
 generalized PR boxes (each row either perfectly correlated or perfectly
 anticorrelated, with an odd number of anticorrelated rows).  Both are
 modelled as small frozen value types that can render their induced
-distribution matrix.
+distribution matrix.  The n=2 vertices keep the paper's catalog
+numbering, defined once here (:func:`catalog_222`, :func:`pr_index_of`,
+:func:`ld_index_of`), so that every module names them alike; a box of
+any other scenario has no catalog number.
 
 The polytope itself is defined once, here: :func:`equalities` lists its
 4n equality constraints (row normalization and no-signaling marginals),
@@ -458,6 +461,12 @@ def _ld_from_assignment(assignment: str) -> LocalDeterministic:
 _CATALOG_PRS = tuple(_pr_from_types_222(t) for t in _PR_TYPES_222)
 _CATALOG_LDS = tuple(_ld_from_assignment(s) for s in _LD_ASSIGNMENTS)
 
+#: Catalog index of each n=2 box.  Boxes compare by scenario and
+#: letters, so a box built anywhere finds its index here, and a box of
+#: any other scenario finds none.
+_PR_INDEX = {box: k for k, box in enumerate(_CATALOG_PRS, start=1)}
+_LD_INDEX = {box: k for k, box in enumerate(_CATALOG_LDS, start=1)}
+
 
 def catalog_222() -> tuple[tuple[GeneralizedPRBox, ...], tuple[LocalDeterministic, ...]]:
     """The 24 vertices of the n=2 no-signaling polytope.
@@ -481,6 +490,24 @@ def ld_box(index: int) -> LocalDeterministic:
     if not 1 <= index <= 16:
         raise PreconditionError(f"LD box index must be 1..16, got {index}")
     return _CATALOG_LDS[index - 1]
+
+
+@functools.cache
+def _matrix_indexes() -> tuple[dict, dict]:
+    return (
+        {box.matrix(): k for box, k in _PR_INDEX.items()},
+        {box.matrix(): k for box, k in _LD_INDEX.items()},
+    )
+
+
+def ld_index_of(matrix: DistributionMatrix) -> int | None:
+    """Catalog index of the deterministic box with this matrix, if any."""
+    return _matrix_indexes()[1].get(matrix)
+
+
+def pr_index_of(matrix: DistributionMatrix) -> int | None:
+    """Catalog index of the PR box with this matrix, if any."""
+    return _matrix_indexes()[0].get(matrix)
 
 
 _MAX_ENUMERATION_N = 12

@@ -12,19 +12,17 @@ Frank-Wolfe gap certifies how close the result is to the minimum.
 Restricting to the 8 saturating boxes loses nothing, which is checked in
 the test suite against the full 16-box optimization.
 
-Also here: :func:`face_projection`, the exact mixing coefficient that
-lands a combination of a violating matrix and a local matrix on the
-saturating face of the violated CHSH inequality.  Both of its weights
-are read off chained values against the violated box; its one exact
-linear program is the final check that the mixture lies on the face.
+Also here: :func:`face_projection`, at every n: the exact mixing
+coefficient that lands a violating matrix mixed with a local one on the
+face below the violated box, certified by the result's cell read-off.
 
-Each function finds the violated box through
-:func:`~bellpoly.chsh.violated_symmetry` (the chained engine at n=2).
-:func:`~bellpoly.chained.identify_gpr` keeps its answer on the matrix,
-so the membership check and the box scan run once per input matrix,
-whichever function asks first, and that check is the only one; the
-decompositions, thresholds and estimator reuse the answer on the same
-matrix.  The PR weight is 1 minus that box's chained value.
+The module builds on :mod:`bellpoly.chained` and :mod:`bellpoly.core`
+only.  Each function finds the violated box with
+:func:`~bellpoly.chained.identify_gpr`, which keeps its answer on the
+matrix, so the membership check and the box scan run once per input
+matrix, whichever function asks first, and that check is the only one;
+the decompositions, thresholds and estimator reuse the answer on the
+same matrix.  The PR weight is 1 minus that box's chained value.
 """
 
 from __future__ import annotations
@@ -34,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .chained import chained_value, readoff_weights
-from .chsh import ld_index_of, ld_mixture_weights, violated_symmetry
+from .chained import chained_value, identify_gpr, readoff_weights
 from .core import (
     DistributionMatrix,
     InvariantViolationError,
@@ -43,9 +40,9 @@ from .core import (
     NotApplicableError,
     PreconditionError,
     SettingsDistribution,
+    _LD_INDEX,
     ld_box,
     mix,
-    pr_box,
 )
 
 
@@ -92,14 +89,14 @@ def tv_closest_local(q: DistributionMatrix) -> ClosestLocalResult:
     closest, at distance exactly r.  Local queries return themselves at
     distance 0.
     """
-    sym = violated_symmetry(q)
-    if sym is None:
+    if q.scenario.n != 2:
+        raise PreconditionError("closest-local searches are defined for n=2 only")
+    g = identify_gpr(q)
+    if g is None:
         return ClosestLocalResult(q, Fraction(0), None)
     # The read-off boxes are exactly the symmetry's 8 saturating boxes.
-    ld_terms, pr_weight = readoff_weights(q, pr_box(sym.index))
-    weights = dict(
-        sorted((ld_index_of(box.matrix()), w + pr_weight / 8) for box, w in ld_terms)
-    )
+    ld_terms, pr_weight = readoff_weights(q, g)
+    weights = dict(sorted((_LD_INDEX[box], w + pr_weight / 8) for box, w in ld_terms))
     closest = mix([(ld_box(i), w) for i, w in weights.items()])
     distance = tv_distance(q, closest)
     if distance != pr_weight:
@@ -341,32 +338,31 @@ def kl_closest_local(
 def face_projection(
     q: DistributionMatrix, s_local: DistributionMatrix
 ) -> tuple[Fraction, DistributionMatrix]:
-    """Mix a violating matrix with a local one onto the saturating face.
+    """Mix a violating matrix with a local one onto the face of the local
+    polytope below the violated box g, at any n.
 
-    Let g be the PR box of the violated symmetry and r = 1 - (chained
-    value of ``q`` against g), its PR weight.  Every deterministic box
-    puts 1 in g's zero cells if it saturates the symmetry and 3 if it
-    does not, so any local decomposition of ``s_local`` has the same
-    weight o = (chained value of ``s_local`` - 1) / 2 outside the
-    saturating set.  The coefficient lam = 2o / (2o + r) makes
-    lam q + (1 - lam) s_local  an exact convex combination of the 8
-    saturating boxes: the PR mass lam r is consumed by casting it out
-    against the outside boxes' mass (1 - lam) o at the 2-to-1 ratio of
-    the cast-out identity.  Returns ``(lam, mixture)``.
+    Let r = 1 - (chained value of ``q`` against g), g's weight in ``q``.
+    A deterministic box with 2m+1 support mismatches against g cancels
+    2m of g's mass (:func:`~bellpoly.chained.mismatch_replacement`), so
+    ``s_local`` cancels e = (its chained value against g) - 1, and
+    lam = e / (e + r) makes  lam q + (1 - lam) s_local  a mixture of g's
+    one-mismatch companions alone.  Its cell read-off against g is the
+    certificate: box weight 0, no negative weight, exact reconstruction.
+    Returns ``(lam, mixture)``.
     """
-    sym = violated_symmetry(q)
-    if sym is None:
+    g = identify_gpr(q)
+    if g is None:
         raise NotApplicableError(
             "face projection needs a CHSH-violating first argument"
         )
-    if violated_symmetry(s_local) is not None:
+    if identify_gpr(s_local) is not None:
         raise PreconditionError("second argument must be a local matrix")
-    g = pr_box(sym.index)
-    outside = (chained_value(s_local, g) - 1) / 2
+    excess = chained_value(s_local, g) - 1
     r = 1 - chained_value(q, g)
-    lam = 2 * outside / (2 * outside + r)
+    lam = excess / (excess + r)
     projected = mix([(q, lam), (s_local, 1 - lam)])
-    if ld_mixture_weights(projected, sorted(sym.saturating_set)) is None:
+    terms, weight = readoff_weights(projected, g)
+    if weight != 0 or any(w < 0 for _, w in terms) or mix(terms) != projected:
         raise InvariantViolationError(
             "projected matrix must lie on the saturating face"
         )

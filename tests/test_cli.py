@@ -301,6 +301,8 @@ def test_decompose_chained_input(capsys, chained_path):
     terms = result["decomposition"]["terms"]
     assert terms[0]["type"] == "pr-box" and terms[0]["row_types"] == "CCCCCA"
     assert as_exact(terms[0]["weight"]) == F(7, 10)
+    # Catalog numbers name n=2 boxes only.
+    assert all("index" not in term for term in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +412,16 @@ def test_eta_accepts_asymmetric_values(capsys, pr1_path):
     assert code == 0
     assert as_exact(report["result"]["eta_a"]) == 1
     assert as_exact(report["result"]["eta_b"]) == F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--value", "3/2"), ("--value", "1", "--value-b=-1/2")]
+)
+def test_eta_rejects_out_of_range_efficiencies_as_malformed(capsys, pr1_path, flags):
+    code, out, err = run_cli(capsys, "eta", pr1_path, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error (malformed input): efficiencies must lie in [0, 1]")
 
 
 def test_eta_critical_of_pr1(capsys, pr1_path):

@@ -1,13 +1,21 @@
 """Total-variation and Kullback-Leibler distances, closest-local searches,
 and projection onto the facet a violating matrix crosses."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import bellpoly as bp
-from bellpoly import NotApplicableError, PreconditionError, metrics
+from bellpoly import (
+    InvariantViolationError,
+    NotApplicableError,
+    PreconditionError,
+    exactlin,
+    metrics,
+)
 from conftest import (
     random_local_222,
     random_nonlocal_222,
@@ -448,3 +456,115 @@ def test_face_projection_rejects_nonlocal_target():
         bp.face_projection(
             bp.as_matrix(bp.pr_box(1)), bp.as_matrix(bp.pr_box(2))
         )
+
+
+def _larger_n_case(rng, n):
+    """A violating n-setting matrix g r + (one-mismatch companions), a
+    local partner over deterministic boxes, and the built data: g, r and
+    the partner's (box, weight) terms."""
+    scenario = bp.Scenario(n)
+    g = rng.choice(bp.enumerate_gprs(scenario))
+    r = F(rng.randint(1, 99), 100)
+    companions = list(bp.one_support_mismatches(g).values())
+    on_face = zip(companions, rational_weights(rng, len(companions), 1 - r))
+    q = bp.mix([(g, r)] + [(d, w) for d, w in on_face if w])
+    partners = rng.sample(bp.enumerate_lds(scenario), 5)
+    built = [(d, w) for d, w in zip(partners, rational_weights(rng, 5)) if w]
+    return q, bp.mix(built), g, r, built
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_face_projection_at_larger_n(rng, n):
+    # A partner box with k mismatches against g cancels k - 1 of g's mass.
+    for _ in range(15):
+        q, s_local, g, r, built = _larger_n_case(rng, n)
+        cancelled = sum(
+            (w * (bp.support_mismatch_count(g, d) - 1) for d, w in built), F(0)
+        )
+        lam, point = bp.face_projection(q, s_local)
+        assert lam == cancelled / (cancelled + r)
+        assert point == bp.mix([(q, lam), (s_local, 1 - lam)])
+        value, reaching = oracles.chained_minimum(point)
+        assert value == 1 and "".join(g.row_types) in reaching
+
+
+def test_face_projection_rejections_at_n3(rng):
+    q, s_local, g, _, _ = _larger_n_case(rng, 3)
+    with pytest.raises(NotApplicableError, match="violating"):
+        bp.face_projection(s_local, q)
+    with pytest.raises(PreconditionError, match="local"):
+        bp.face_projection(q, g.matrix())
+    pr1 = bp.as_matrix(bp.pr_box(1))
+    d16 = bp.as_matrix(bp.ld_box(16))
+    with pytest.raises(PreconditionError, match="scenarios differ"):
+        bp.face_projection(q, d16)
+    with pytest.raises(PreconditionError, match="scenarios differ"):
+        bp.face_projection(pr1, s_local)
+
+
+def test_face_projection_solves_no_linear_program(monkeypatch, rng):
+    calls = []
+    original = exactlin.simplex_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exactlin, "simplex_feasible", counted)
+    for _ in range(5):
+        dm, _, _, _ = random_nonlocal_222(rng)
+        bp.face_projection(dm, random_local_222(rng))
+    assert calls == []
+
+
+def _rotated(terms, weight):
+    weights = [w for _, w in terms]
+    return tuple(zip([box for box, _ in terms], weights[1:] + weights[:1])), weight
+
+
+def _negated(terms, weight):
+    (box, w), *rest = terms
+    return ((box, -w - 1), *rest), weight
+
+
+@pytest.mark.parametrize(
+    "break_readoff",
+    [
+        _rotated,
+        _negated,
+        lambda terms, weight: (terms, weight + F(1, 100)),
+    ],
+    ids=["reconstruction", "negative weight", "box weight"],
+)
+def test_face_projection_certificate_catches_a_broken_readoff(
+    monkeypatch, break_readoff
+):
+    original = metrics.readoff_weights
+    monkeypatch.setattr(
+        metrics, "readoff_weights", lambda dm, g: break_readoff(*original(dm, g))
+    )
+    q = bp.mix([(bp.pr_box(1), F(1, 2))] + [
+        (bp.ld_box(i), w) for i, w in zip(SATURATING, (F(1, 8), F(3, 8)))
+    ])
+    with pytest.raises(InvariantViolationError, match="saturating face"):
+        bp.face_projection(q, bp.as_matrix(bp.ld_box(16)))
+
+
+def test_metrics_imports_only_core_and_chained():
+    tree = ast.parse(Path(metrics.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.partition(".")[0] == "bellpoly":
+                imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.name for alias in node.names
+                if alias.name.partition(".")[0] == "bellpoly"
+            )
+    assert imported == {"chained", "core"}
