@@ -502,6 +502,16 @@ def test_face_projection_rejections_at_n3(rng):
         bp.face_projection(pr1, s_local)
 
 
+def test_closest_local_searches_reject_larger_n(rng):
+    q, s_local, _, _, _ = _larger_n_case(rng, 3)
+    uniform = bp.SettingsDistribution.uniform(q.scenario)
+    for dm in (q, s_local):
+        with pytest.raises(PreconditionError, match="n=2 only"):
+            bp.tv_closest_local(dm)
+        with pytest.raises(PreconditionError, match="n=2 only"):
+            bp.kl_closest_local(dm, uniform)
+
+
 def test_face_projection_solves_no_linear_program(monkeypatch, rng):
     calls = []
     original = exactlin.simplex_feasible
