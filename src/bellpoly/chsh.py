@@ -262,6 +262,7 @@ def decompose_222(dm: DistributionMatrix) -> Decomposition:
 def decompose_local_222(dm: DistributionMatrix) -> Decomposition:
     """Some exact convex decomposition of a local matrix into at most 9
     deterministic boxes, found by exact linear-feasibility search."""
+    _require_222(dm, "local decomposition is")
     require_member(dm, context="decompose_local_222")
     boxes = [ld_box(i) for i in range(1, 17)]
     cells = [(r, c) for r in range(4) for c in range(4)]

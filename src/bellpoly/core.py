@@ -27,8 +27,10 @@ and every cell is nonnegative.  :func:`validate` checks a matrix against
 exactly that description, and :mod:`bellpoly.polytope` and the command
 line read the same table.
 
-All arithmetic is over :class:`fractions.Fraction`; nothing in this
-module rounds.
+Every value is an exact :class:`fractions.Fraction`; nothing in this
+module rounds.  :func:`mix` and :func:`validate` sum integer numerators
+over a common denominator (:func:`common_denominator`) and build a
+``Fraction`` only for each result.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 
@@ -549,11 +552,24 @@ def enumerate_gprs(scenario: Scenario) -> tuple[GeneralizedPRBox, ...]:
 # ---------------------------------------------------------------------------
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def mix(terms: Iterable[tuple[Box, RationalLike]]) -> DistributionMatrix:
     """Exact convex combination of boxes or matrices.
 
     Weights must be nonnegative rationals summing to exactly 1, and all
     terms must live in the same scenario.
+
+    The sums run on integers: each term's cells are numerators over
+    their least common denominator d, and a term of weight w = p/q adds
+    ``p * (D // (d * q))`` times them, on its nonzero cells only, where
+    D is the lcm of every term's ``d * q``.  Each cell's ``Fraction`` is
+    built once, from its numerator over D; the cells no term touches
+    share one zero.
     """
     pairs = [(as_matrix(box), as_fraction(w)) for box, w in terms]
     if not pairs:
@@ -563,16 +579,25 @@ def mix(terms: Iterable[tuple[Box, RationalLike]]) -> DistributionMatrix:
         raise ShapeError("all terms in a mixture must share one scenario")
     if any(w < 0 for _, w in pairs):
         raise NormalizationError("mixture weights must be nonnegative")
-    total = sum(w for _, w in pairs)
-    if total != 1:
-        raise NormalizationError(f"mixture weights must sum to 1, got {total}")
-    # Each term adds to its nonzero cells only: 2n of the 8n for a
-    # deterministic box, 4n for a PR box.
-    cells = [Fraction(0)] * scenario.num_cells
+    weights, total = common_denominator([w for _, w in pairs])
+    if sum(weights) != total:
+        raise NormalizationError(
+            f"mixture weights must sum to 1, got {Fraction(sum(weights), total)}"
+        )
+    scaled = []
     for m, w in pairs:
-        for k, v in enumerate(v for row in m.entries for v in row):
+        if w:
+            nums, d = common_denominator([v for row in m.entries for v in row])
+            scaled.append((nums, d * w.denominator, w.numerator))
+    denominator = lcm(*(d for _, d, _ in scaled))
+    sums = [0] * scenario.num_cells
+    for nums, d, p in scaled:
+        factor = p * (denominator // d)
+        for k, v in enumerate(nums):
             if v:
-                cells[k] += w * v
+                sums[k] += factor * v
+    zero = Fraction(0)
+    cells = [Fraction(v, denominator) if v else zero for v in sums]
     rows = tuple(tuple(cells[k : k + 4]) for k in range(0, len(cells), 4))
     return DistributionMatrix(scenario, rows)
 

@@ -34,6 +34,7 @@ from .core import (
     PreconditionError,
     RationalLike,
     as_fraction,
+    common_denominator,
 )
 
 
@@ -63,15 +64,25 @@ class EfficiencyParams:
 def apply_efficiency(
     dm: DistributionMatrix, params: EfficiencyParams
 ) -> DistributionMatrix:
-    """The matrix observed through lossy detectors (no-click recorded 0)."""
-    ea, eb = params.eta_a, params.eta_b
+    """The matrix observed through lossy detectors (no-click recorded 0).
+
+    Each row runs on integers: with its cells as numerators over their
+    least common denominator d and ea = a/a', eb = b/b', the four new
+    cells are numerators over d * a' * b', and each cell's ``Fraction``
+    is built once from them.  Zero cells share one zero.
+    """
+    a, a_den = params.eta_a.numerator, params.eta_a.denominator
+    b, b_den = params.eta_b.numerator, params.eta_b.denominator
+    zero = Fraction(0)
     rows = []
-    for tpp, tpz, tzp, tzz in dm.entries:
-        npp = ea * eb * tpp
-        npz = ea * (tpz + (1 - eb) * tpp)
-        nzp = eb * (tzp + (1 - ea) * tpp)
-        total = tpp + tpz + tzp + tzz
-        rows.append((npp, npz, nzp, total - npp - npz - nzp))
+    for row in dm.entries:
+        (pp, pz, zp, zz), d = common_denominator(row)
+        npp = a * b * pp
+        npz = a * (pz * b_den + (b_den - b) * pp)
+        nzp = b * (zp * a_den + (a_den - a) * pp)
+        nzz = (pp + pz + zp + zz) * a_den * b_den - npp - npz - nzp
+        d *= a_den * b_den
+        rows.append(tuple(Fraction(v, d) if v else zero for v in (npp, npz, nzp, nzz)))
     return DistributionMatrix(dm.scenario, tuple(rows))
 
 

@@ -23,19 +23,12 @@ feasibility answers exact yes/no decisions rather than numerical guesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .core import InvariantViolationError
+from .core import InvariantViolationError, common_denominator
 
 #: The type of every rational result.
 QQ = Fraction
-
-
-def common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _scaled(rows) -> list[list[int]]:

@@ -41,6 +41,7 @@ from .core import (
     PreconditionError,
     SettingsDistribution,
     _LD_INDEX,
+    common_denominator,
     ld_box,
     mix,
 )
@@ -71,14 +72,34 @@ class ClosestLocalResult:
 
 
 def tv_distance(q: DistributionMatrix, s: DistributionMatrix) -> Fraction:
-    """Half the sum of absolute cell differences, over all 8n cells."""
+    """Half the sum of absolute cell differences, over all 8n cells.
+
+    Summed on integers: both matrices' cells as numerators over the lcm
+    of all their denominators, one ``Fraction`` for the result.
+    """
     if q.scenario != s.scenario:
         raise PreconditionError("matrix scenarios differ")
-    total = sum(
-        (abs(a - b) for ra, rb in zip(q.entries, s.entries) for a, b in zip(ra, rb)),
-        Fraction(0),
-    )
-    return total / 2
+    cells = [v for m in (q, s) for row in m.entries for v in row]
+    nums, d = common_denominator(cells)
+    half = len(nums) // 2
+    return Fraction(sum(abs(a - b) for a, b in zip(nums[:half], nums[half:])), 2 * d)
+
+
+def _spread_readoff(
+    q: DistributionMatrix,
+) -> tuple[dict[int, Fraction], Fraction] | None:
+    """An n=2 query's read-off weights plus r/8 on each of the 8
+    saturating boxes, keyed by catalog number, and its PR weight r;
+    ``None`` when the query is local."""
+    if q.scenario.n != 2:
+        raise PreconditionError("closest-local searches are defined for n=2 only")
+    g = identify_gpr(q)
+    if g is None:
+        return None
+    # The read-off boxes are exactly the symmetry's 8 saturating boxes.
+    ld_terms, pr_weight = readoff_weights(q, g)
+    weights = dict(sorted((_LD_INDEX[box], w + pr_weight / 8) for box, w in ld_terms))
+    return weights, pr_weight
 
 
 def tv_closest_local(q: DistributionMatrix) -> ClosestLocalResult:
@@ -89,14 +110,10 @@ def tv_closest_local(q: DistributionMatrix) -> ClosestLocalResult:
     closest, at distance exactly r.  Local queries return themselves at
     distance 0.
     """
-    if q.scenario.n != 2:
-        raise PreconditionError("closest-local searches are defined for n=2 only")
-    g = identify_gpr(q)
-    if g is None:
+    spread = _spread_readoff(q)
+    if spread is None:
         return ClosestLocalResult(q, Fraction(0), None)
-    # The read-off boxes are exactly the symmetry's 8 saturating boxes.
-    ld_terms, pr_weight = readoff_weights(q, g)
-    weights = dict(sorted((_LD_INDEX[box], w + pr_weight / 8) for box, w in ld_terms))
+    weights, pr_weight = spread
     closest = mix([(ld_box(i), w) for i, w in weights.items()])
     distance = tv_distance(q, closest)
     if distance != pr_weight:
@@ -307,17 +324,17 @@ def kl_closest_local(
     violated symmetry's 8 saturating deterministic boxes (which suffice:
     optimizing over all 16 reaches the same divergence).
 
-    Starts from the total-variation minimizer, whose weights are
-    strictly positive.  Reports the iteration count and the final
-    Frank-Wolfe gap (:func:`kl_gap`), which bounds the divergence's
-    excess over the minimum from above.  Local queries return themselves
-    at distance 0.
+    Starts from the read-off weights plus r/8 on each box, r the PR
+    weight: the weights of the total-variation minimizer, all strictly
+    positive, taken from the read-off without building that minimizer.
+    Reports the iteration count and the final Frank-Wolfe gap
+    (:func:`kl_gap`), which bounds the divergence's excess over the
+    minimum from above.  Local queries return themselves at distance 0.
     """
-    tv = tv_closest_local(q)
-    if tv.weights is None:
+    spread = _spread_readoff(q)
+    if spread is None:
         return ClosestLocalResult(q, 0.0, None)
-    indices = sorted(tv.weights)
-    start = [tv.weights[i] for i in indices]
+    indices, start = list(spread[0]), list(spread[0].values())
     x, _, iterations = kl_minimize(q, settings, indices, start)
     gap = kl_gap(q, settings, indices, x)
     exact = [Fraction(v) for v in x]

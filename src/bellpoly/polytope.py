@@ -146,7 +146,8 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
     """All vertices of the chained no-signaling polytope, exactly, in
     ascending order of their row-major cells.
 
-    The equalities are solved for 4n basis cells, so that the other 4n
+    The equalities are solved for 4n basis cells, the pivot columns of
+    one :func:`~bellpoly.exactlin.reduce_system`, so that the other 4n
     (free) cells ``y`` parametrize the polytope as ``x0 + N y >= 0``.
     Its vertices are the extreme rays ``(t, y)`` of the cone
     ``{t >= 0, y >= 0, t x0 + N y >= 0}`` scaled to ``t = 1``
@@ -161,17 +162,17 @@ def enumerate_vertices(scenario: Scenario) -> tuple[DistributionMatrix, ...]:
             f"vertex enumeration supports n in 2..4, got n={scenario.n}"
         )
     matrix = equality_matrix(scenario)
+    bounds = [eq.bound for eq in equalities(scenario)]
     ncells = scenario.num_cells
-    basis: list[int] = []
-    for c in range(ncells):
-        columns = [[row[k] for row in matrix] for k in (*basis, c)]
-        if exactlin.rank(columns) > len(basis):
-            basis.append(c)
+    # The pivot columns of the reduced row echelon form: each cell not in
+    # the span of the cells before it.
+    reduced, _ = exactlin.reduce_system(matrix, bounds)
+    basis = [next(k for k, v in enumerate(row) if v) for row in reduced]
     free = [c for c in range(ncells) if c not in basis]
     square = [[row[k] for k in basis] for row in matrix]
     # Column 0 holds x0 on the basis cells, column 1 + j the coefficients
     # of free cell j: x_basis = x0 - inverse(square) * E[:, free] * y.
-    columns = [exactlin.solve_square(square, [eq.bound for eq in equalities(scenario)])]
+    columns = [exactlin.solve_square(square, bounds)]
     for f in free:
         column = exactlin.solve_square(square, [row[f] for row in matrix])
         columns.append([-v for v in column])

@@ -7,14 +7,18 @@ instances, so every test run is deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from bellpoly import (
+    DistributionMatrix,
     GeneralizedPRBox,
     Scenario,
     SettingsDistribution,
@@ -22,6 +26,7 @@ from bellpoly import (
     catalog_222,
     chsh_symmetry,
     enumerate_gprs,
+    enumerate_lds,
     equality_matrix,
     ld_box,
     mix,
@@ -102,6 +107,44 @@ def random_chained_mixture(rng: random.Random, scenario: Scenario):
     return mix(terms), g, g_weight, cell_weights
 
 
+# Denominators up to about 10^40: products of distinct primes, so that
+# the cells of one equality often have unrelated denominators, or any
+# integer in range.
+_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1_000_003, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+DENOMINATORS = st.one_of(
+    st.sets(st.sampled_from(_PRIMES), min_size=1, max_size=3).map(math.prod),
+    st.integers(1, 10**40),
+)
+
+
+@functools.cache
+def scenario_vertices(n: int):
+    """Every deterministic box, then every generalized PR box, at n."""
+    scenario = Scenario(n)
+    return enumerate_lds(scenario) + enumerate_gprs(scenario)
+
+
+def rational_tables(n: int):
+    """Any 2n x 4 table of rationals with denominators up to 10^40, as a
+    matrix (not necessarily a polytope member)."""
+    cell = st.builds(Fraction, st.integers(-(10**6), 10**6), DENOMINATORS)
+    row = st.lists(cell, min_size=4, max_size=4)
+    return st.lists(row, min_size=2 * n, max_size=2 * n).map(
+        lambda rows: DistributionMatrix(Scenario(n), rows)
+    )
+
+
+@st.composite
+def vertex_mixtures(draw, n: int):
+    """A member at n: up to 4 vertices mixed with weights whose
+    denominators are unrelated and up to 10^40."""
+    weights = draw(st.lists(st.builds(Fraction, st.integers(1, 10**6), DENOMINATORS),
+                            min_size=1, max_size=4))
+    boxes = draw(st.lists(st.sampled_from(scenario_vertices(n)),
+                          min_size=len(weights), max_size=len(weights)))
+    return mix(zip(boxes, [w / sum(weights) for w in weights]))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240816)
@@ -155,6 +198,10 @@ def scenario_gpr_with_types(n: int, letters: str) -> GeneralizedPRBox:
 
 __all__ = [
     "DATA_DIR",
+    "DENOMINATORS",
+    "scenario_vertices",
+    "rational_tables",
+    "vertex_mixtures",
     "rational_weights",
     "random_nonlocal_222",
     "random_local_222",

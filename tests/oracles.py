@@ -15,6 +15,12 @@ over the scenario's setting pairs, without the library's equality table.
 row-type pattern on integer numerators, without the library's box
 types, enumeration or chained functional.
 
+:func:`mix_direct`, :func:`efficiency_direct` and :func:`tv_direct`
+recompute mixing, the detector-efficiency transform and total-variation
+distance cell by cell in ``Fraction``s, from the boxes' letters
+(:func:`box_cells`) and each side's detection channel rather than the
+library's matrices and closed-form rows.
+
 The exact LP in :func:`tv_lp_oracle` is solved by this module's own
 dense-tableau simplex over ``Fraction``s (:func:`simplex_minimize`), so
 it shares no code with ``bellpoly.exactlin``, whose integer-preserving
@@ -31,9 +37,7 @@ from typing import Optional, Sequence
 
 from bellpoly import (
     DistributionMatrix,
-    EfficiencyParams,
     InvariantViolationError,
-    apply_efficiency,
     as_matrix,
     chsh_value,
     ld_box,
@@ -189,6 +193,76 @@ def variant_sign(cell: tuple[int, int], variant: int) -> int:
     if cell in minuses:
         return -1
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Mixing and the efficiency transform, cell by cell
+# ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+# A correlated ("C") or anticorrelated ("A") row, columns ++, +0, 0+, 00.
+_TYPED_ROWS = {"C": (_HALF, 0, 0, _HALF), "A": (0, _HALF, _HALF, 0)}
+
+
+def box_cells(box) -> tuple[tuple[Fraction, ...], ...]:
+    """A vertex's cell table from its letters alone: a PR box's rows from
+    its row types, a deterministic box's from its outcome letters at each
+    measured setting pair; a matrix's own cells otherwise."""
+    if isinstance(box, DistributionMatrix):
+        return box.entries
+    if hasattr(box, "row_types"):
+        return tuple(tuple(map(Fraction, _TYPED_ROWS[t])) for t in box.row_types)
+    columns = ["++", "+0", "0+", "00"]
+    return tuple(
+        tuple(
+            Fraction(int(columns[c] == box.a_assign[i - 1] + box.b_assign[j - 1]))
+            for c in range(4)
+        )
+        for i, j in box.scenario.setting_pairs()
+    )
+
+
+def mix_direct(terms) -> tuple[tuple[Fraction, ...], ...]:
+    """The cells of  sum_k w_k * box_k  for ``(box, weight)`` pairs, each
+    cell a plain ``Fraction`` sum over every term, zero weights included."""
+    tables = [(box_cells(box), Fraction(w)) for box, w in terms]
+    nrows = len(tables[0][0])
+    return tuple(
+        tuple(
+            sum((w * cells[r][c] for cells, w in tables), start=Fraction(0))
+            for c in range(4)
+        )
+        for r in range(nrows)
+    )
+
+
+def efficiency_direct(cells, eta_a, eta_b) -> tuple[tuple[Fraction, ...], ...]:
+    """The cells seen through lossy detectors, as a channel on each side:
+    an outcome ``+`` is kept with probability eta and recorded as ``0``
+    otherwise, and ``0`` stays ``0``.  Each new cell sums, over the four
+    old outcome pairs, the old cell times both sides' transition
+    probabilities."""
+    eta_a, eta_b = Fraction(eta_a), Fraction(eta_b)
+
+    def keep(eta: Fraction, old: str, new: str) -> Fraction:
+        if old == "0":
+            return Fraction(int(new == "0"))
+        return eta if new == "+" else 1 - eta
+
+    columns = ["++", "+0", "0+", "00"]
+    return tuple(
+        tuple(
+            sum(
+                (
+                    Fraction(row[k]) * keep(eta_a, old[0], new[0]) * keep(eta_b, old[1], new[1])
+                    for k, old in enumerate(columns)
+                ),
+                start=Fraction(0),
+            )
+            for new in columns
+        )
+        for row in cells
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +505,8 @@ def efficiency_quadratic(dm: DistributionMatrix, sym_index: int) -> tuple[Fracti
     """
 
     def sample(eta: Fraction) -> Fraction:
-        params = EfficiencyParams(eta_a=eta, eta_b=eta)
-        return chsh_direct(apply_efficiency(dm, params), sym_index)
+        image = DistributionMatrix(dm.scenario, efficiency_direct(dm.entries, eta, eta))
+        return chsh_direct(image, sym_index)
 
     y0 = sample(Fraction(0))
     y1 = sample(Fraction(1, 2))

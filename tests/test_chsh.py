@@ -151,6 +151,16 @@ def test_local_decomposition_of_balanced_pr_pair_uses_its_ld_face(table1):
     assert all(w == F(1, 4) for _, w in dec.ld_terms)
 
 
+def test_local_decomposition_rejects_larger_n(rng):
+    boxes = bp.enumerate_lds(bp.Scenario(3))
+    for _ in range(3):
+        chosen = rng.sample(boxes, 4)
+        dm = bp.mix([(box, F(1, 4)) for box in chosen])
+        assert bp.validate(dm) == []
+        with pytest.raises(PreconditionError, match="defined for n=2 only"):
+            bp.decompose_local_222(dm)
+
+
 # The deterministic terms that decompose_local_222 returns are the vertex
 # that the simplex's pivot order reaches, not the only decomposition, so
 # these literals (catalog index, weight) pin that order.

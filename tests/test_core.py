@@ -1,7 +1,5 @@
 """Scenarios, boxes, catalogs, mixing, validation, outcome flips, saturating sets."""
 
-import functools
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +13,7 @@ from bellpoly import (
     chained,
     core,
 )
+from conftest import DENOMINATORS, rational_tables, scenario_vertices
 import oracles
 
 F = Fraction
@@ -217,35 +216,19 @@ def test_validate_reports_every_kind_of_violation_in_table_order():
     ]
 
 
-# Denominators up to about 10^40: products of distinct primes, so that
-# the cells of one equality often have unrelated denominators, or any
-# integer in range.
-_PRIMES = (2, 3, 5, 7, 11, 13, 101, 1_000_003, 2**31 - 1, 10**9 + 7, 2**61 - 1)
-_DENOMINATORS = st.one_of(
-    st.sets(st.sampled_from(_PRIMES), min_size=1, max_size=3).map(math.prod),
-    st.integers(1, 10**40),
-)
-
-
-@functools.cache
-def _vertices(n):
-    scenario = bp.Scenario(n)
-    return bp.enumerate_lds(scenario) + bp.enumerate_gprs(scenario)
-
-
 @hyp_settings(deadline=None)
 @given(st.data())
 def test_validate_matches_the_fraction_reference(data):
     n = data.draw(st.integers(2, 5), label="n")
     kind = data.draw(st.sampled_from(["member", "perturbed", "arbitrary"]), label="kind")
     if kind == "arbitrary":
-        cell = st.builds(F, st.integers(-(10**6), 10**6), _DENOMINATORS)
+        cell = st.builds(F, st.integers(-(10**6), 10**6), DENOMINATORS)
         rows = data.draw(st.lists(st.lists(cell, min_size=4, max_size=4),
                                   min_size=2 * n, max_size=2 * n))
     else:
-        weights = data.draw(st.lists(st.builds(F, st.integers(1, 10**6), _DENOMINATORS),
+        weights = data.draw(st.lists(st.builds(F, st.integers(1, 10**6), DENOMINATORS),
                                      min_size=1, max_size=4))
-        boxes = data.draw(st.lists(st.sampled_from(_vertices(n)),
+        boxes = data.draw(st.lists(st.sampled_from(scenario_vertices(n)),
                                    min_size=len(weights), max_size=len(weights)))
         member = bp.mix(zip(boxes, [w / sum(weights) for w in weights]))
         assert bp.validate(member) == []
@@ -254,7 +237,7 @@ def test_validate_matches_the_fraction_reference(data):
         # residuals of both signs, and negative cells where a zero moves down
         for _ in range(data.draw(st.integers(1, 4))):
             r, c = data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 3))
-            rows[r][c] += data.draw(st.builds(F, st.integers(-(10**6), 10**6), _DENOMINATORS))
+            rows[r][c] += data.draw(st.builds(F, st.integers(-(10**6), 10**6), DENOMINATORS))
     dm = bp.DistributionMatrix(bp.Scenario(n), rows)
     expected = oracles.validate_direct(dm)
     assert [(v.constraint, v.residual) for v in bp.validate(dm)] == expected
@@ -524,10 +507,16 @@ def test_mix_of_mixes_equals_flat_mix():
 
 
 def test_mix_rejects_bad_weights():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match="must sum to 1, got 1/2$"):
         bp.mix([(bp.pr_box(1), F(1, 2))])
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match="must sum to 1, got 5/6$"):
+        bp.mix([(bp.pr_box(1), F(1, 2)), (bp.ld_box(1), F(1, 3)), (bp.ld_box(2), 0)])
+    with pytest.raises(NormalizationError, match="must be nonnegative"):
         bp.mix([(bp.pr_box(1), F(3, 2)), (bp.ld_box(1), F(-1, 2))])
+    with pytest.raises(PreconditionError, match="at least one term"):
+        bp.mix([])
+    with pytest.raises(ShapeError, match="share one scenario"):
+        bp.mix([(bp.pr_box(1), F(1, 2)), (bp.canonical_gpr(bp.Scenario(3)), F(1, 2))])
 
 
 @given(
@@ -543,6 +532,44 @@ def test_mixtures_of_members_stay_members(weights):
         [(box, F(w, total)) for box, w in zip(boxes, weights) if w > 0]
     )
     assert bp.validate(dm) == []
+
+
+@st.composite
+def _mixtures(draw):
+    """Mixture terms at n=2..5: boxes and arbitrary matrices, weights with
+    unrelated denominators or normalised from floats (as the KL search
+    does), and zero weights as int 0 and as Fraction 0 among them."""
+    n = draw(st.integers(2, 5), label="n")
+    box = st.sampled_from(scenario_vertices(n))
+    terms = draw(st.lists(st.one_of(box, box, rational_tables(n)), min_size=1, max_size=5))
+    if draw(st.booleans(), label="float weights"):
+        floats = draw(st.lists(st.floats(1e-9, 1.0), min_size=len(terms), max_size=len(terms)))
+        raw = [F(v) for v in floats]
+    else:
+        raw = draw(st.lists(st.builds(F, st.integers(1, 10**6), DENOMINATORS),
+                            min_size=len(terms), max_size=len(terms)))
+    total = sum(raw)
+    pairs = [(t, w / total) for t, w in zip(terms, raw)]
+    for _ in range(draw(st.integers(0, 2), label="zero weights")):
+        zero = draw(st.sampled_from([0, F(0)]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(box), zero))
+    return pairs
+
+
+@hyp_settings(deadline=None)
+@given(_mixtures())
+def test_mix_matches_the_cell_by_cell_reference(terms):
+    mixed = bp.mix(terms)
+    assert mixed.entries == oracles.mix_direct(terms)
+    assert all(type(v) is F for row in mixed.entries for v in row)
+
+
+def test_mix_shares_one_zero_among_untouched_cells():
+    scenario = bp.Scenario(3)
+    boxes = bp.enumerate_lds(scenario)[:3]
+    mixed = bp.mix([(boxes[0], F(1, 2)), (boxes[1], F(1, 3)), (boxes[2], F(1, 6))])
+    zeros = {id(v) for row in mixed.entries for v in row if v == 0}
+    assert len(zeros) == 1
 
 
 def test_equal_mixture_of_two_prs_matches_four_ld_average(table1):

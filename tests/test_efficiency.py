@@ -7,14 +7,18 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bellpoly as bp
 from bellpoly import EfficiencyThreshold, PreconditionError
 from conftest import (
+    DENOMINATORS,
     random_chained_mixture,
     random_local_222,
     random_nonlocal_222,
     random_nonsignaling_222,
+    rational_tables,
+    vertex_mixtures,
 )
 import oracles
 
@@ -116,6 +120,29 @@ def test_efficiency_is_affine_in_the_input(rng):
             [(bp.apply_efficiency(a, params), lam), (bp.apply_efficiency(b, params), 1 - lam)]
         )
         assert lhs.entries == rhs.entries
+
+
+@st.composite
+def _efficiency(draw):
+    """0, 1, or a fraction in [0, 1] with a denominator up to 10^40."""
+    kind = draw(st.sampled_from(["zero", "one", "fraction"]))
+    if kind != "fraction":
+        return F(int(kind == "one"))
+    denominator = draw(DENOMINATORS)
+    return F(draw(st.integers(0, denominator)), denominator)
+
+
+def _matrices():
+    """A member or an arbitrary table at n=2..5."""
+    return st.integers(2, 5).flatmap(lambda n: vertex_mixtures(n) | rational_tables(n))
+
+
+@hyp_settings(deadline=None)
+@given(_matrices(), _efficiency(), _efficiency())
+def test_efficiency_matches_the_detection_channel_reference(dm, eta_a, eta_b):
+    image = bp.apply_efficiency(dm, bp.EfficiencyParams(eta_a, eta_b))
+    assert image.entries == oracles.efficiency_direct(dm.entries, eta_a, eta_b)
+    assert all(type(v) is F for row in image.entries for v in row)
 
 
 def test_efficiency_params_validate_their_range():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bellpoly as bp
 from bellpoly import (
@@ -20,7 +21,9 @@ from conftest import (
     random_local_222,
     random_nonlocal_222,
     random_nonsignaling_222,
+    rational_tables,
     rational_weights,
+    vertex_mixtures,
 )
 import oracles
 
@@ -73,6 +76,16 @@ def test_tv_is_affine_along_segments(rng):
         lam = F(rng.randint(0, 12), 12)
         point = bp.mix([(a, lam), (b, 1 - lam)])
         assert bp.tv_distance(point, b) == lam * bp.tv_distance(a, b)
+
+
+@hyp_settings(deadline=None)
+@given(st.data())
+def test_tv_matches_the_cell_by_cell_reference(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    q, s = (data.draw(vertex_mixtures(n) | rational_tables(n)) for _ in range(2))
+    distance = bp.tv_distance(q, s)
+    assert type(distance) is F
+    assert distance == oracles.tv_direct(q, s)
 
 
 def test_tv_rejects_mismatched_scenarios():
@@ -338,6 +351,51 @@ def test_kl_closest_local_matches_the_minimizer(rng):
         assert bp.kl_divergence(dm, res.closest, UNIFORM_SETTINGS) == pytest.approx(
             res.distance, abs=1e-9
         )
+
+
+def _seeded_violators(rng):
+    """Violators (some with zero cells, where the search ends on the
+    simplex boundary) under random positive settings probabilities."""
+    for _ in range(8):
+        dm, _, _, _ = random_nonlocal_222(rng)
+        raw = [rng.randint(1, 9) for _ in range(4)]
+        yield dm, bp.SettingsDistribution(bp.SCENARIO_222, [F(r, sum(raw)) for r in raw])
+
+
+def test_kl_closest_local_builds_no_tv_closest_point(monkeypatch, rng):
+    calls = []
+    original = metrics.tv_closest_local
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(metrics, "tv_closest_local", counted)
+    for dm, settings in _seeded_violators(rng):
+        bp.kl_closest_local(dm, settings)
+    bp.kl_closest_local(random_local_222(rng), UNIFORM_SETTINGS)
+    assert calls == []
+
+
+def test_kl_closest_local_starts_from_the_tv_weights(monkeypatch, rng):
+    starts = []
+    original = metrics.kl_minimize
+
+    def recorded(q, settings, indices, start):
+        starts.append(dict(zip(indices, start)))
+        return original(q, settings, indices, start)
+
+    monkeypatch.setattr(metrics, "kl_minimize", recorded)
+    for dm, settings in _seeded_violators(rng):
+        res = bp.kl_closest_local(dm, settings)
+        tv_weights = bp.tv_closest_local(dm).weights
+        assert starts.pop() == tv_weights
+        # the same search from the TV-closest point, run directly
+        indices = sorted(tv_weights)
+        x, _, iterations = original(dm, settings, indices, [tv_weights[i] for i in indices])
+        assert res.weights == dict(zip(indices, x))
+        assert res.iterations == iterations
+        assert res.gap == bp.kl_gap(dm, settings, indices, x)
 
 
 def test_kl_closest_local_agrees_with_a_grid_search():
