@@ -395,7 +395,7 @@ def _cmd_kl_closest(args) -> int:
             for k, v in sorted(res.weights.items())
         ]
         lines.append(
-            f"mirror descent: {res.iterations} iterations; at most "
+            f"Newton search: {res.iterations} iterations; at most "
             f"{res.gap:.3g} bits above the minimum (Frank-Wolfe gap)"
         )
     lines.append(f"settings source: {source}")

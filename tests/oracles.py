@@ -8,6 +8,10 @@ four-term rewrites of the CHSH quantity), the oracle carries its own
 literal copy so a transcription slip in the library is caught rather
 than reproduced.
 
+:func:`kl_mirror_descent` minimizes KL divergence over box weights by
+mirror descent on the joint distribution, with its own gradient and no
+code from ``bellpoly.metrics``, whose Newton search it checks.
+
 :func:`validate_direct` recomputes membership reports by summing cells
 over the scenario's setting pairs, without the library's equality table.
 
@@ -331,6 +335,70 @@ def kl_direct(q, s, settings_probs) -> float:
                 return math.inf
             total += float(w) * float(qc) * math.log2(float(qc) / float(sc))
     return total
+
+
+def kl_mirror_descent(
+    q: DistributionMatrix,
+    settings_probs,
+    ld_indices,
+    gap_tolerance: float = 1e-12,
+    max_iterations: int = 20_000,
+) -> tuple[float, list[float], float]:
+    """Smallest KL divergence (bits) from ``q`` to a mixture of the given
+    deterministic boxes, by mirror descent on the box weights.
+
+    Works on the joint (setting, outcome) distribution: P = p_r q_rc
+    against M = p_r sum_i x_i B_i(r, c), over the cells with P > 0, the
+    boxes' cells taken from their letters (:func:`box_cells`).  Each step
+    multiplies the weights by exp(-step * gradient), halving the step
+    until the divergence does not rise and growing it by half after each
+    accepted step, from the uniform weights until the Frank-Wolfe gap is
+    at most ``gap_tolerance`` or ``max_iterations`` steps are taken.
+    Every iterate lies inside the simplex, so the value returned is never
+    below the minimum.  Returns ``(divergence, weights, gap)``.
+    """
+    tables = [box_cells(ld_box(i)) for i in ld_indices]
+    cells = [
+        (float(p) * float(q.entries[r][c]), float(p), [float(t[r][c]) for t in tables])
+        for r, p in enumerate(settings_probs)
+        for c in range(4)
+        if p * q.entries[r][c] > 0
+    ]
+
+    def divergence(x):
+        total = []
+        for joint, p, boxes in cells:
+            model = p * sum(w * b for w, b in zip(x, boxes))
+            if model <= 0:
+                return math.inf
+            total.append(joint * math.log2(joint / model))
+        return math.fsum(total)
+
+    def gradient(x):
+        g = [0.0] * len(x)
+        for joint, p, boxes in cells:
+            model = p * sum(w * b for w, b in zip(x, boxes))
+            for i, b in enumerate(boxes):
+                g[i] -= joint * p * b / (model * math.log(2))
+        return g
+
+    x = [1.0 / len(tables)] * len(tables)
+    value, step = divergence(x), 1.0
+    for iteration in range(max_iterations + 1):
+        g = gradient(x)
+        low = min(g)
+        gap = math.fsum(gv * xv for gv, xv in zip(g, x)) - low
+        if gap <= gap_tolerance or iteration == max_iterations:
+            return value, x, gap
+        while True:
+            y = [xv * math.exp(-step * (gv - low)) for xv, gv in zip(x, g)]
+            total = sum(y)
+            y = [v / total for v in y]
+            candidate = divergence(y)
+            if candidate <= value or step < 1e-300:
+                break
+            step /= 2
+        x, value, step = y, candidate, step * 1.5
 
 
 def mixture_cells(ld_indices, weights) -> tuple[tuple[Fraction, ...], ...]:

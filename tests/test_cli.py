@@ -340,6 +340,13 @@ def test_kl_closest_reports_its_certificate(capsys, mixture_path, local_path):
     assert report["result"]["gap_bits"] is None
 
 
+def test_kl_closest_converges_in_few_newton_steps(capsys, empirical_path):
+    code, report, _ = run_json(capsys, "kl-closest", empirical_path)
+    assert code == 0
+    assert report["result"]["iterations"] <= 25
+    assert 0 <= report["result"]["gap_bits"] <= 1e-10
+
+
 def test_kl_closest_settings_precedence(capsys, tmp_path, pr1_path):
     settings_file = tmp_path / "settings.json"
     settings_file.write_text(json.dumps({"settings_probs": ["1/2", "1/6", "1/6", "1/6"]}))

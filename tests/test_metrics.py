@@ -268,6 +268,16 @@ def test_kl_gradient_matches_finite_differences(rng):
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+def test_kl_objective_ignores_rows_that_are_never_measured():
+    # Boxes 1 and 4 agree with PR box 1 on the two measured rows and
+    # leave cells of the unmeasured rows empty.
+    pr1 = bp.as_matrix(bp.pr_box(1))
+    half = bp.SettingsDistribution(bp.SCENARIO_222, [F(1, 2), F(1, 2), 0, 0])
+    mixture = bp.mix([(bp.ld_box(1), F(1, 2)), (bp.ld_box(4), F(1, 2))])
+    assert bp.kl_divergence(pr1, mixture, half) == 0.0
+    assert bp.kl_objective(pr1, half, (1, 4), [0.5, 0.5]) == 0.0
+
+
 def test_kl_objective_is_convex_in_the_weights(rng):
     pr1 = bp.as_matrix(bp.pr_box(1))
     for _ in range(20):
@@ -396,6 +406,68 @@ def test_kl_closest_local_starts_from_the_tv_weights(monkeypatch, rng):
         assert res.weights == dict(zip(indices, x))
         assert res.iterations == iterations
         assert res.gap == bp.kl_gap(dm, settings, indices, x)
+
+
+def _oracle_cases(rng):
+    """Seeded violators of four kinds, each with its settings and the
+    violated symmetry's 8 saturating boxes: all 8 facet boxes mixed in
+    (an interior optimum), one left out (cells at 0, a boundary
+    optimum), 1 to 8 of them (sparse), and settings that never measure
+    one or two of the rows."""
+    for case in range(16):
+        kind = case % 4
+        index = rng.randint(1, 8)
+        facet = sorted(bp.chsh_symmetry(index).saturating_set)
+        pr_weight = F(rng.randint(1, 60), 100)
+        if kind == 1:
+            facet_used = [i for i in facet if i != rng.choice(facet)]
+        elif kind == 2:
+            facet_used = rng.sample(facet, rng.randint(1, 8))
+        else:
+            facet_used = facet
+        weights = rational_weights(rng, len(facet_used), 1 - pr_weight)
+        dm = bp.mix(
+            [(bp.pr_box(index), pr_weight)]
+            + [(bp.ld_box(i), w) for i, w in zip(facet_used, weights) if w > 0]
+        )
+        raw = [rng.randint(1, 9) for _ in range(4)]
+        if kind == 3:
+            for row in rng.sample(range(4), rng.randint(1, 2)):
+                raw[row] = 0
+        probs = [F(r, sum(raw)) for r in raw]
+        yield dm, bp.SettingsDistribution(bp.SCENARIO_222, probs), facet
+
+
+def test_kl_closest_local_matches_a_mirror_descent_oracle(rng):
+    # The oracle's iterates stay inside the simplex, so it never goes
+    # below the minimum: the Newton answer may not lie above it.
+    for dm, settings, facet in _oracle_cases(rng):
+        res = bp.kl_closest_local(dm, settings)
+        assert sorted(res.weights) == facet
+        oracle_value, _, _ = oracles.kl_mirror_descent(
+            dm, settings.probs, facet, max_iterations=2_000
+        )
+        assert res.distance <= oracle_value + 1e-10
+        assert 0 <= res.gap <= metrics.KL_GAP_TOLERANCE
+        assert 1 <= res.iterations <= 25
+        # the whole 16-box catalog reaches the same optimum
+        _, complete, _ = bp.kl_minimize(dm, settings, tuple(range(1, 17)))
+        assert abs(complete - res.distance) <= 1e-9
+
+
+def test_kl_closest_local_builds_its_problem_once(monkeypatch, rng):
+    built = []
+    original = metrics._KLProblem
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(metrics, "_KLProblem", counted)
+    for dm, settings in _seeded_violators(rng):
+        bp.kl_closest_local(dm, settings)
+        assert len(built) == 1
+        built.clear()
 
 
 def test_kl_closest_local_agrees_with_a_grid_search():
