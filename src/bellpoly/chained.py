@@ -21,8 +21,8 @@ a single cell.  Two further exact constructions are provided:
   generalized PR boxes as a uniform mixture of 4 deterministic boxes,
   by propagating outcome patterns column-to-column around the chain.
 * :func:`mismatch_replacement` rewrites one deterministic box with
-  2m+1 >= 3 support mismatches against 2m copies of ``g`` as 2m+1
-  deterministic boxes, each with exactly one mismatch.
+  2m+1 >= 3 support mismatches against 2m copies of ``g`` as the 2m+1
+  one-mismatch companions of ``g`` at that box's mismatch cells.
 """
 
 from __future__ import annotations
@@ -97,15 +97,6 @@ def support_mismatch_count(g: GeneralizedPRBox, d: LocalDeterministic) -> int:
 # measured pairs are exactly the adjacent (cyclic) column pairs, and the
 # canonical row order lists them by left column: row j joins columns j
 # and j+1 (mod 2n).  Even columns are Alice settings, odd are Bob's.
-
-
-def _column_letters(d: LocalDeterministic) -> list[str]:
-    """d's outcome letters in column order a1, b1, a2, b2, ..., an, bn."""
-    letters = []
-    for i in range(d.scenario.n):
-        letters.append(d.a_assign[i])
-        letters.append(d.b_assign[i])
-    return letters
 
 
 def _box_from_columns(scenario: Scenario, letters) -> LocalDeterministic:
@@ -357,15 +348,21 @@ def domino_merge(
 def mismatch_replacement(
     g: GeneralizedPRBox, d: LocalDeterministic
 ) -> tuple[LocalDeterministic, ...]:
-    """2m+1 one-mismatch boxes with  d + 2m g = their sum  (as matrices),
-    for a deterministic box ``d`` having 2m+1 >= 3 support mismatches.
+    """The 2m+1 one-mismatch boxes with  d + 2m g = their sum  (as
+    matrices) for a deterministic box ``d`` with 2m+1 >= 3 support
+    mismatches: g's companions (:func:`one_support_mismatches`) at d's
+    mismatch cells, in canonical row order.
 
-    The boxes are built in a table with 2m+1 rows: the first column
-    holds m+1 copies of d's a1 letter and m flipped copies; moving right
-    column by column, d's letter for the column is copied with each
-    row's current flip status, which toggles for every row — except one
-    alternating "exception" row that resets to unflipped — whenever the
-    crossed row boundary is one of d's mismatch rows.
+    Only they can appear: outside those cells neither d nor g weights
+    g's zero cells, and a one-mismatch box puts all its zero-region mass
+    on its own mismatch cell.  They sum correctly: from its mismatch row,
+    where it agrees with d, a companion walks around the chain keeping
+    g's correlations, which d breaks at each of its mismatch rows, so its
+    letter on a column equals d's iff an even number of them lies between.
+    On a row where d sits in g's support, the companions see 0, ..., 2m
+    such rows between: m+1 take d's cell and m the other support cell.
+    On a mismatch row, its own companion takes d's cell and the other 2m
+    see 0, ..., 2m-1, so m take each support cell: d + 2m g row by row.
     """
     if g.scenario != d.scenario:
         raise PreconditionError("box scenarios differ")
@@ -376,37 +373,9 @@ def mismatch_replacement(
         )
     if count % 2 != 1:
         raise InvariantViolationError("mismatch count must be odd")
-    m = (count - 1) // 2
-    size = 2 * g.scenario.n
-    marked = [
-        r
-        for r, (i, j) in enumerate(g.scenario.setting_pairs())
-        if d.outcome_column(i, j) in g.zero_columns(r)
-    ]
-    marked_rank = {line: k for k, line in enumerate(marked, start=1)}
-    letters_of_d = _column_letters(d)
-    nrows = count
-    flipped = [False] * nrows  # construction-table rows, 0-based
-    flipped[m + 1 :] = [True] * m
-    table = [[letters_of_d[0] if not flipped[t] else _flip(letters_of_d[0])]
-             for t in range(nrows)]
-    for col in range(1, size):
-        boundary = col - 1
-        if boundary in marked_rank:
-            k = marked_rank[boundary]
-            if k % 2 == 1:
-                exception = (m + 1) - (k - 1) // 2  # 1-based table row
-            else:
-                exception = (m + 1) + k // 2
-            for t in range(nrows):
-                flipped[t] = False if t == exception - 1 else not flipped[t]
-        base = letters_of_d[col]
-        for t in range(nrows):
-            table[t].append(_flip(base) if flipped[t] else base)
-    boxes = tuple(_box_from_columns(g.scenario, row) for row in table)
-    for box in boxes:
-        if support_mismatch_count(g, box) != 1:
-            raise InvariantViolationError(
-                "replacement produced a box without exactly one mismatch"
-            )
-    return boxes
+    pairs = g.scenario.setting_pairs()
+    return tuple(
+        box
+        for cell, box in one_support_mismatches(g).items()
+        if d.outcome_column(*pairs[cell.row]) == cell.column
+    )

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from . import exactlin
 from .chained import (
+    chained_value,
     decompose_chained,
     domino_merge,
     identify_gpr,
@@ -41,7 +42,6 @@ from .chained import (
     readoff_weights,
 )
 from .core import (
-    CORRELATED,
     Decomposition,
     DistributionMatrix,
     InvariantViolationError,
@@ -172,17 +172,15 @@ def row_correlators(dm: DistributionMatrix) -> tuple[Fraction, ...]:
 def chsh_value(dm: DistributionMatrix, sym: ChshSymmetry) -> Fraction:
     """Value of the symmetry's CHSH functional; local matrices stay <= 2.
 
-    The sign of each row's correlator matches the row type of the
-    symmetry's PR box, which is exactly the assignment maximizing the
-    functional (the PR box reaches 4).
+    The row correlators signed by the row types of the symmetry's PR box
+    (which reaches 4).  A correlated row's E, like an anticorrelated
+    row's -E, is its row sum minus twice its mass on the box's zero
+    cells, so on any table the value is the cell total minus twice the
+    box's chained value: 4 - 2 x chained value on polytope members.
     """
     _require_222(dm, "CHSH functionals are")
-    signs = tuple(
-        1 if t == CORRELATED else -1 for t in pr_box(sym.index).row_types
-    )
-    return sum(
-        (s * e for s, e in zip(signs, row_correlators(dm))), Fraction(0)
-    )
+    total = sum((v for row in dm.entries for v in row), Fraction(0))
+    return total - 2 * chained_value(dm, pr_box(sym.index))
 
 
 def all_chsh_values(dm: DistributionMatrix) -> tuple[Fraction, ...]:

@@ -13,9 +13,10 @@ inputs whose constraint residuals are at most 1e-6: the matrix is
 replaced by its exact least-adjustment projection onto the equality
 constraints and the substitution is reported as a warning.  Larger
 residuals are rejected.  Two exceptions: ``validate`` always reports
-the raw matrix's violations, and ``decompose`` on an n=2 matrix reads
-its weights off the *raw* cells (reporting the reconstruction residual)
-so that published rounded tables decompose to the printed digits.
+the raw matrix's violations, and ``decompose`` on a nonlocal n=2 matrix
+reads its weights off the *raw* cells (reporting the reconstruction
+residual) so that published rounded tables decompose to the printed
+digits; a local one is projected like the others.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def _print_report(args, command: str, result: dict, warnings: list[str],
         for warning in warnings:
             print(f"warning: {warning}")
     return 0
+
+
+def _matrix_lines(dm: DistributionMatrix) -> list[str]:
+    """One indented ``label: cells`` line per row of ``dm``."""
+    return [
+        f"  {label}: " + "  ".join(_fmt(v) for v in row)
+        for label, row in zip(dm.scenario.row_labels(), dm.entries)
+    ]
 
 
 def _decomposition_lines(dec: Decomposition) -> list[str]:
@@ -311,24 +320,28 @@ def _cmd_decompose(args) -> int:
     dm, _ = fileio.load_distribution(args.file)
     warnings: list[str] = []
     residual = None
+    kind = "pr-plus-saturating"
     if dm.scenario.n == 2:
         violations = validate(dm)
-        if not violations:
+        if violations:
+            _worst_residual(violations)
+            try:
+                dec, residual = chsh.readoff_222(dm)
+            except NotApplicableError:  # a local table: use its projection
+                dm, warnings = _project_member(dm)
+            else:
+                warnings.append(
+                    f"weights were read off a matrix that is not exactly a "
+                    f"polytope member; the reconstruction differs from the "
+                    f"input by total variation {_fmt(residual)} "
+                    f"({float(residual):.3g})"
+                )
+        if residual is None:
             try:
                 dec = chsh.decompose_222(dm)
-                kind = "pr-plus-saturating"
             except NotApplicableError:  # the matrix is local
                 dec = chsh.decompose_local_222(dm)
                 kind = "local"
-        else:
-            _worst_residual(violations)
-            dec, residual = chsh.readoff_222(dm)
-            kind = "pr-plus-saturating"
-            warnings.append(
-                f"weights were read off a matrix that is not exactly a "
-                f"polytope member; the reconstruction differs from the input "
-                f"by total variation {_fmt(residual)} ({float(residual):.3g})"
-            )
     else:
         dm, warnings = _project_member(dm)
         dec = chained.decompose_chained(dm)
@@ -436,12 +449,7 @@ def _cmd_eta(args) -> int:
         )
     if args.format == "text":
         lines.append("transformed matrix:")
-        for label, row in zip(
-            transformed.scenario.row_labels(), transformed.entries
-        ):
-            lines.append(
-                "  " + label + ": " + "  ".join(_fmt(v) for v in row)
-            )
+        lines += _matrix_lines(transformed)
     return _print_report(args, "eta", result, warnings, lines)
 
 
@@ -566,6 +574,8 @@ def _cmd_vertices(args) -> int:
         lines = [f"{len(vertices)} vertices; catalogs match"] + lines[1:]
     if args.list:
         result["vertices"] = [fileio.dump_distribution(dm) for dm in vertices]
+        for k, dm in enumerate(vertices, start=1):
+            lines += [f"vertex {k}:"] + _matrix_lines(dm)
     return _print_report(args, "vertices", result, [], lines)
 
 

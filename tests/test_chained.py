@@ -1,6 +1,7 @@
 """Chained-scenario boxes: catalogs, mismatch counting and replacement,
 domino merging, the chained functional, and the tightness witness."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,70 @@ def test_mismatch_replacement_general_weight_form():
         lhs = bp.mix([(g, F(count - 1, count)), (d, F(1, count))])
         rhs = bp.mix([(o, F(1, count)) for o in outputs])
         assert lhs.entries == rhs.entries
+
+
+def _mismatch_cells(g, box):
+    """The cells where ``box`` weights ``g``'s zero region, row-major,
+    from the oracle's cell tables."""
+    box_cells, g_cells = oracles.box_cells(box), oracles.box_cells(g)
+    return [
+        (r, c)
+        for r, row in enumerate(box_cells)
+        for c, v in enumerate(row)
+        if v and not g_cells[r][c]
+    ]
+
+
+def _check_companions_at_mismatch_cells(g, d):
+    cells = _mismatch_cells(g, d)
+    outputs = bp.mismatch_replacement(g, d)
+    # Output k is the one-mismatch box whose mismatch is d's k-th cell.
+    assert [_mismatch_cells(g, o) for o in outputs] == [[cell] for cell in cells]
+    companions = bp.one_support_mismatches(g)
+    assert outputs == tuple(
+        companions[bp.MismatchCell(r, bp.COLUMNS[c])] for r, c in cells
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mismatch_replacement_is_the_companions_in_row_order(n):
+    scenario = bp.Scenario(n)
+    gprs, lds = bp.enumerate_gprs(scenario), bp.enumerate_lds(scenario)
+    checked = 0
+    for g in gprs:
+        for d in lds:
+            if bp.support_mismatch_count(g, d) >= 3:
+                _check_companions_at_mismatch_cells(g, d)
+                checked += 1
+    # Every box but g's 4n companions has at least 3 mismatches.
+    assert checked == len(gprs) * (len(lds) - 4 * n)
+
+
+def test_mismatch_replacement_is_the_companions_on_n4_samples():
+    scenario = bp.Scenario(4)
+    gprs, lds = bp.enumerate_gprs(scenario), bp.enumerate_lds(scenario)
+    rng = random.Random(4)
+    checked = 0
+    while checked < 200:
+        g, d = rng.choice(gprs), rng.choice(lds)
+        if bp.support_mismatch_count(g, d) >= 3:
+            _check_companions_at_mismatch_cells(g, d)
+            checked += 1
+
+
+@pytest.mark.parametrize("count", [3, 5, 7, 9])
+def test_mismatch_replacement_identity_at_n5(count):
+    scenario = bp.Scenario(5)
+    g = bp.canonical_gpr(scenario)
+    d = next(
+        box
+        for box in bp.enumerate_lds(scenario)
+        if bp.support_mismatch_count(g, box) == count
+    )
+    outputs = bp.mismatch_replacement(g, d)
+    assert len(outputs) == count
+    lhs = oracles.mix_direct([(d, 1), (g, count - 1)])
+    assert oracles.mix_direct([(o, 1) for o in outputs]) == lhs
 
 
 # ---------------------------------------------------------------------------

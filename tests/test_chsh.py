@@ -53,8 +53,18 @@ def test_chsh_reference_values():
 
 
 def test_chsh_agrees_with_correlator_arithmetic(rng):
-    for _ in range(30):
-        dm = random_nonsignaling_222(rng)
+    tables = [random_nonsignaling_222(rng) for _ in range(30)]
+    # Arbitrary rational tables too: non-members with negative cells and
+    # unnormalised rows, as rounded input can be.
+    tables += [
+        bp.DistributionMatrix(
+            bp.Scenario(2),
+            [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)]
+             for _ in range(4)],
+        )
+        for _ in range(200)
+    ]
+    for dm in tables:
         assert bp.all_chsh_values(dm) == oracles.all_chsh_direct(dm)
 
 

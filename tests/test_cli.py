@@ -282,6 +282,33 @@ def test_decompose_remix_reproduces_the_input(capsys, empirical_path):
     assert oracle_tv(remixed, raw) <= residual
 
 
+def test_decompose_projects_rounded_local_tables(capsys, tmp_path):
+    uniform = bp.DistributionMatrix(bp.Scenario(2), [[F(1, 4)] * 4] * 4)
+    doc = fileio.dump_distribution(uniform)
+    doc["rows"][0]["probs"] = ["0.2500001", "0.25", "0.25", "0.2499999"]
+    path = tmp_path / "rounded_local.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_json(capsys, "decompose", path)
+    assert code == 0
+    result = report["result"]
+    assert result["kind"] == "local"
+    assert "reconstruction_residual_tv" not in result
+    (warning,) = report["warnings"]
+    assert "least-adjustment projection" in warning
+    remixed = bp.mix(
+        [
+            (bp.ld_box(t["index"]), as_exact(t["weight"]))
+            for t in result["decomposition"]["terms"]
+        ]
+    )
+    projected, _ = cli._project_member(bp.load_distribution(str(path))[0])
+    assert remixed.entries == projected.entries
+    code, out, _ = run_cli(capsys, "decompose", path)
+    assert code == 0
+    assert out.startswith("decomposition (local):\n")
+    assert out.endswith(f"warning: {warning}\n")
+
+
 def oracle_tv(a, b):
     return (
         sum(
@@ -410,6 +437,22 @@ def test_eta_transforms_the_matrix(capsys, pr1_path):
         bp.as_matrix(bp.pr_box(1)), bp.EfficiencyParams.symmetric(F(2, 3))
     )
     assert transformed.entries == expected.entries
+
+
+def test_eta_text_lists_the_transformed_rows(capsys, pr1_path):
+    code, out, _ = run_cli(capsys, "eta", pr1_path, "--value", "2/3")
+    assert code == 0
+    expected = bp.apply_efficiency(
+        bp.as_matrix(bp.pr_box(1)), bp.EfficiencyParams.symmetric(F(2, 3))
+    )
+    block = out.splitlines()[-5:]
+    assert block[0] == "transformed matrix:"
+    for label, row, line in zip(
+        expected.scenario.row_labels(), expected.entries, block[1:]
+    ):
+        assert line == f"  {label}: " + "  ".join(
+            fileio.format_rational(v) for v in row
+        )
 
 
 def test_eta_accepts_asymmetric_values(capsys, pr1_path):
@@ -552,6 +595,30 @@ def test_vertices_list_includes_matrices(capsys):
         for doc in report["result"]["vertices"]
     }
     assert len(entries) == 24
+
+
+def test_vertices_list_prints_each_matrix_in_text(capsys):
+    code, out, _ = run_cli(capsys, "vertices", "--n", "2", "--list")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "24 vertices (16 deterministic, 8 PR-like)"
+    assert len(lines) == 1 + 24 * 5
+    labels = bp.Scenario(2).row_labels()
+    listed = set()
+    for k in range(24):
+        block = lines[1 + 5 * k : 6 + 5 * k]
+        assert block[0] == f"vertex {k + 1}:"
+        rows = []
+        for label, line in zip(labels, block[1:]):
+            head, cells = line.split(": ")
+            assert head == f"  {label}"
+            rows.append(tuple(F(v) for v in cells.split()))
+        listed.add(tuple(rows))
+    scenario = bp.Scenario(2)
+    assert listed == {
+        box.matrix().entries
+        for box in bp.enumerate_lds(scenario) + bp.enumerate_gprs(scenario)
+    }
 
 
 def test_vertices_capacity_guards(capsys):
